@@ -23,7 +23,6 @@ from .errors import (
     LengthMismatch,
     NegativeCoefficient,
     NotATree,
-    NotPendant,
     ParseError,
     SameVertex,
     SubtreeCountError,
@@ -106,7 +105,6 @@ __all__ = [
     "NotATree",
     "UnknownVertex",
     "SameVertex",
-    "NotPendant",
     "LengthMismatch",
     "NegativeCoefficient",
     "KTooSmall",

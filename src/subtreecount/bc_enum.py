@@ -26,13 +26,13 @@ BC family.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO
 from .errors import KTooSmall, LengthMismatch, SameVertex, UnknownVertex
-from .tree import Tree, WeightedTree
+from .tree import Chooser, Tree, WeightedTree, as_weighted
 
-Chooser = Callable[[list[str]], str]
 EdgeChooser = Callable[[list[tuple[str, str]]], tuple[str, str]]
 
 
@@ -59,6 +59,10 @@ class ParityDegreeVector:
         and never contributes a counted structure by itself.
         """
         return cls((ONE,) + (ZERO,) * k, (vertex_weight,) + (ZERO,) * k)
+
+    def truncated(self) -> "ParityDegreeVector":
+        """Both vectors without their top entry: the cap k-1 view."""
+        return ParityDegreeVector(self.odd[:-1], self.even[:-1])
 
     def odd_sum(self, lo: int, hi: int) -> BiPoly:
         if hi < lo:
@@ -110,34 +114,9 @@ def leaf_update_bc(
     return ParityDegreeVector(odd, even)
 
 
-def _as_weighted(t: Tree | WeightedTree, k: int) -> WeightedTree:
-    if isinstance(t, WeightedTree):
-        for v in t.tree.vertices:
-            vec = t.vector(v)
-            if not isinstance(vec, ParityDegreeVector) or len(vec) != k + 1:
-                raise LengthMismatch(
-                    f"vertex {v!r} needs a ParityDegreeVector of length {k + 1}"
-                )
-        return t
-    return WeightedTree(t, {v: ParityDegreeVector.initial(k) for v in t.vertices})
-
-
 def _require_k(k: int, minimum: int) -> None:
     if k < minimum:
         raise KTooSmall(f"this operation needs k >= {minimum}, got {k}")
-
-
-def _contract_keeping(
-    wt: WeightedTree, k: int, keep: frozenset[str], pick: Chooser
-) -> WeightedTree:
-    while True:
-        candidates = [u for u in wt.tree.pendant_vertices() if u not in keep]
-        if not candidates:
-            return wt
-        u = pick(candidates)
-        p = wt.tree.neighbors(u)[0]
-        folded = leaf_update_bc(wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k)
-        wt = wt.with_vector(p, folded).remove_leaf(u)
 
 
 def rooted_parity_vectors(
@@ -149,11 +128,10 @@ def rooted_parity_vectors(
     root with root degree exactly j and all leaves at odd (even) distance.
     """
     _require_k(k, 2)
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, ParityDegreeVector)
     if root not in wt.tree:
         raise UnknownVertex(f"no vertex {root!r}")
-    wt = _contract_keeping(wt, k, frozenset([root]), choose or min)
-    return wt.vector(root)
+    return wt.contract(frozenset([root]), partial(leaf_update_bc, k=k), choose)[root]
 
 
 def _cross_product(
@@ -184,7 +162,7 @@ def count_bc_all(
     (recursion).  The result is independent of the split edge chosen.
     """
     _require_k(k, 2)
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, ParityDegreeVector)
     return _bc_total(wt, k, choose_edge or min)
 
 
@@ -210,7 +188,7 @@ def count_bc_containing(
     nothing (no BC-subtree has fewer than three vertices).
     """
     _require_k(k, 2)
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, ParityDegreeVector)
     if v not in wt.tree:
         raise UnknownVertex(f"no vertex {v!r}")
     pick = choose or min
@@ -244,13 +222,13 @@ def count_bc_containing_pair(
     path length's parity.
     """
     _require_k(k, 2)
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, ParityDegreeVector)
     for label in (vi, vj):
         if label not in wt.tree:
             raise UnknownVertex(f"no vertex {label!r}")
     if vi == vj:
         raise SameVertex(f"anchors must be distinct, got {vi!r} twice")
-    wt = _contract_keeping(wt, k, frozenset([vi, vj]), choose or min)
+    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_bc, k=k), choose)
     path = wt.tree.path_between(vi, vj)
     length = len(path) - 1
 
@@ -259,7 +237,7 @@ def count_bc_containing_pair(
     prod_a = ONE
     prod_b = ONE
     for pos, u in enumerate(path[1:-1], start=1):
-        vec = wt.vector(u)
+        vec = vectors[u]
         odd_s = vec.odd_sum(0, k - 2)
         even_s = vec.even_sum(0, k - 2)
         if pos % 2:
@@ -269,8 +247,8 @@ def count_bc_containing_pair(
             prod_a = prod_a * odd_s
             prod_b = prod_b * even_s
 
-    vec_i = wt.vector(vi)
-    vec_j = wt.vector(vj)
+    vec_i = vectors[vi]
+    vec_j = vectors[vj]
     oi, ei = vec_i.odd_sum(1, k - 1), vec_i.even_sum(0, k - 1)
     oj, ej = vec_j.odd_sum(1, k - 1), vec_j.even_sum(0, k - 1)
     if length % 2 == 0:
@@ -280,14 +258,6 @@ def count_bc_containing_pair(
     for a, b in zip(path, path[1:]):
         total = total * wt.edge_weight(a, b)
     return total
-
-
-def _truncated(wt: WeightedTree) -> WeightedTree:
-    out = wt
-    for v in wt.tree.vertices:
-        vec = wt.vector(v)
-        out = out.with_vector(v, ParityDegreeVector(vec.odd[:-1], vec.even[:-1]))
-    return out
 
 
 def count_bc_exact_degree(
@@ -301,8 +271,8 @@ def count_bc_exact_degree(
     anchors = tuple(anchors)
     if len(anchors) > 2:
         raise ValueError(f"at most two anchors, got {len(anchors)}")
-    wt = _as_weighted(t, k)
-    lower = _truncated(wt)
+    wt = as_weighted(t, k, ParityDegreeVector)
+    lower = wt.truncated()
     if len(anchors) == 0:
         return count_bc_all(wt, k) - count_bc_all(lower, k - 1)
     if len(anchors) == 1:

@@ -154,6 +154,8 @@ def _count_poly(args, t: Tree) -> BiPoly:
 
 def _run(args) -> int:
     if args.command == "random-tree":
+        if args.n < 1:
+            raise _UsageError("--n must be >= 1")
         sys.stdout.write(render_edge_list(random_tree(args.n, args.seed)))
         return 0
     if args.command == "ratio":

@@ -21,10 +21,6 @@ class SameVertex(SubtreeCountError):
     """Two anchor vertices were required to be distinct but are equal."""
 
 
-class NotPendant(SubtreeCountError):
-    """remove_leaf was asked to take out a vertex of degree != 1."""
-
-
 class LengthMismatch(SubtreeCountError):
     """Weight vectors of incompatible lengths were combined."""
 

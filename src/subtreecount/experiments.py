@@ -112,14 +112,10 @@ def emit_csv(records: Iterable[RatioRecord], path: str | Path) -> None:
         writer.writerow(["n", "k", "sample_id", "ratio"])
         for rec in rows:
             writer.writerow([rec.n, rec.k, rec.sample_id, _format_ratio(rec.ratio)])
-    groups: dict[tuple[int, int], list[Fraction]] = {}
-    for rec in rows:
-        groups.setdefault((rec.n, rec.k), []).append(rec.ratio)
     with open(aggregate_path(path), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "k", "mean_ratio"])
-        for (n, k), ratios in sorted(groups.items()):
-            mean = sum(ratios, Fraction(0)) / len(ratios)
+        for (n, k), mean in sorted(mean_ratios(rows).items()):
             writer.writerow([n, k, _format_ratio(mean)])
 
 

@@ -8,19 +8,20 @@ rooted subtrees that can hang off the removed edge (u's entries 0..k-1,
 since attaching uses one unit of u's degree budget).  Repeating this until
 the tree is a single vertex turns local vectors into global counts.
 
-The three public counting modes differ only in which vertices survive the
+The elimination loop itself is ``WeightedTree.contract``, shared with the
+BC family; this module supplies the vector type and the fold.  The three
+public counting modes differ only in which vertices survive the
 contraction and how the surviving vectors are combined.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 from .bipoly import BiPoly, Y, ZERO
 from .errors import KTooSmall, LengthMismatch, SameVertex, UnknownVertex
-from .tree import Tree, WeightedTree
-
-Chooser = Callable[[list[str]], str]
+from .tree import Chooser, Tree, WeightedTree, as_weighted
 
 
 class DegreeVector:
@@ -37,6 +38,10 @@ class DegreeVector:
     def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "DegreeVector":
         """The starting vector (w, 0, ..., 0) of length k+1."""
         return cls((vertex_weight,) + (ZERO,) * k)
+
+    def truncated(self) -> "DegreeVector":
+        """This vector without its top entry: the cap k-1 view."""
+        return DegreeVector(self.entries[:-1])
 
     def sum_range(self, lo: int, hi: int) -> BiPoly:
         """Sum of entries lo..hi inclusive; empty or negative ranges are zero."""
@@ -78,32 +83,6 @@ def leaf_update_subtree(
     return DegreeVector(out)
 
 
-def _as_weighted(t: Tree | WeightedTree, k: int) -> WeightedTree:
-    if isinstance(t, WeightedTree):
-        for v in t.tree.vertices:
-            vec = t.vector(v)
-            if not isinstance(vec, DegreeVector) or len(vec) != k + 1:
-                raise LengthMismatch(
-                    f"vertex {v!r} needs a DegreeVector of length {k + 1}"
-                )
-        return t
-    return WeightedTree(t, {v: DegreeVector.initial(k) for v in t.vertices})
-
-
-def _contract_keeping(
-    wt: WeightedTree, k: int, keep: frozenset[str], pick: Chooser
-) -> WeightedTree:
-    """Eliminate pendant vertices outside ``keep`` until none remain."""
-    while True:
-        candidates = [u for u in wt.tree.pendant_vertices() if u not in keep]
-        if not candidates:
-            return wt
-        u = pick(candidates)
-        p = wt.tree.neighbors(u)[0]
-        folded = leaf_update_subtree(wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k)
-        wt = wt.with_vector(p, folded).remove_leaf(u)
-
-
 def count_all(t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None) -> BiPoly:
     """Generating function of all subtrees with maximum degree <= k.
 
@@ -112,16 +91,15 @@ def count_all(t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None) 
     """
     if k < 0:
         raise KTooSmall(f"k must be >= 0, got {k}")
-    wt = _as_weighted(t, k)
-    pick = choose or min
     parts = []
-    while len(wt.tree.vertices) > 1:
-        u = pick(wt.tree.pendant_vertices())
-        parts.append(wt.vector(u).sum_range(0, k))
-        p = wt.tree.neighbors(u)[0]
-        folded = leaf_update_subtree(wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k)
-        wt = wt.with_vector(p, folded).remove_leaf(u)
-    parts.append(wt.vector(wt.tree.vertices[0]).sum_range(0, k))
+
+    def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
+        parts.append(leaf.sum_range(0, k))
+        return leaf_update_subtree(parent, leaf, edge_weight, k)
+
+    wt = as_weighted(t, k, DegreeVector)
+    (last,) = wt.contract(frozenset(), fold, choose).values()
+    parts.append(last.sum_range(0, k))
     return BiPoly.sum(parts)
 
 
@@ -131,11 +109,11 @@ def count_containing(
     """Generating function of subtrees containing vertex v, max degree <= k."""
     if k < 0:
         raise KTooSmall(f"k must be >= 0, got {k}")
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, DegreeVector)
     if v not in wt.tree:
         raise UnknownVertex(f"no vertex {v!r}")
-    wt = _contract_keeping(wt, k, frozenset([v]), choose or min)
-    return wt.vector(v).sum_range(0, k)
+    vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k), choose)
+    return vectors[v].sum_range(0, k)
 
 
 def count_containing_pair(
@@ -156,28 +134,20 @@ def count_containing_pair(
     """
     if k < 1:
         raise KTooSmall(f"two-vertex counting needs k >= 1, got {k}")
-    wt = _as_weighted(t, k)
+    wt = as_weighted(t, k, DegreeVector)
     for label in (vi, vj):
         if label not in wt.tree:
             raise UnknownVertex(f"no vertex {label!r}")
     if vi == vj:
         raise SameVertex(f"anchors must be distinct, got {vi!r} twice")
-    wt = _contract_keeping(wt, k, frozenset([vi, vj]), choose or min)
+    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k), choose)
     path = wt.tree.path_between(vi, vj)
-    acc = wt.vector(vi).sum_range(0, k - 1) * wt.vector(vj).sum_range(0, k - 1)
+    acc = vectors[vi].sum_range(0, k - 1) * vectors[vj].sum_range(0, k - 1)
     for u in path[1:-1]:
-        acc = acc * wt.vector(u).sum_range(0, k - 2)
+        acc = acc * vectors[u].sum_range(0, k - 2)
     for a, b in zip(path, path[1:]):
         acc = acc * wt.edge_weight(a, b)
     return acc
-
-
-def _truncated(wt: WeightedTree) -> WeightedTree:
-    """The same weighted tree with each vector's top entry dropped (cap k-1)."""
-    out = wt
-    for v in wt.tree.vertices:
-        out = out.with_vector(v, DegreeVector(wt.vector(v).entries[:-1]))
-    return out
 
 
 def count_exact_degree(
@@ -194,8 +164,8 @@ def count_exact_degree(
     anchors = tuple(anchors)
     if len(anchors) > 2:
         raise ValueError(f"at most two anchors, got {len(anchors)}")
-    wt = _as_weighted(t, k)
-    lower = _truncated(wt)
+    wt = as_weighted(t, k, DegreeVector)
+    lower = wt.truncated()
     if len(anchors) == 0:
         return count_all(wt, k) - count_all(lower, k - 1)
     if len(anchors) == 1:

@@ -6,7 +6,8 @@ lines are skipped, and a lone ``u`` line denotes the one-vertex tree.
 
 A WeightedTree couples a tree with one weight payload per vertex (a
 degree-indexed vector of polynomials, see subtree_enum / bc_enum) and one
-polynomial per edge.  Contraction steps produce new WeightedTree values;
+polynomial per edge.  ``WeightedTree.contract``, the pendant-elimination
+loop of both counting families, folds vectors without rebuilding the tree;
 the underlying polynomials are immutable and shared.
 """
 
@@ -14,10 +15,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, Z
-from .errors import NotATree, NotPendant, ParseError, SameVertex, UnknownVertex
+from .errors import LengthMismatch, NotATree, ParseError, SameVertex, UnknownVertex
+
+#: Picks the next vertex to eliminate from the sorted candidate list.
+Chooser = Callable[[list[str]], str]
 
 
 def _check_label(label: str) -> str:
@@ -156,14 +160,6 @@ class Tree:
         edges = [e for e in self._edges if e[0] in keep and e[1] in keep]
         return Tree(verts, edges)
 
-    def without_leaf(self, u: str) -> "Tree":
-        if self.degree(u) != 1:
-            raise NotPendant(f"{u!r} has degree {self.degree(u)}, not 1")
-        return Tree(
-            (v for v in self._vertices if v != u),
-            (e for e in self._edges if u not in e),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
@@ -292,33 +288,48 @@ class WeightedTree:
         except KeyError:
             raise UnknownVertex(f"({u!r}, {v!r}) is not an edge") from None
 
-    def with_vector(self, v: str, vec) -> "WeightedTree":
-        if v not in self._vertex_weights:
-            raise UnknownVertex(f"no vertex {v!r}")
-        vw = dict(self._vertex_weights)
-        vw[v] = vec
-        out = object.__new__(WeightedTree)
-        out.tree = self.tree
-        out._vertex_weights = vw
-        out._edge_weights = self._edge_weights
-        return out
+    def contract(
+        self,
+        keep: frozenset[str],
+        fold: Callable[[object, object, BiPoly], object],
+        choose: Chooser | None = None,
+    ) -> dict[str, object]:
+        """Eliminate pendant vertices outside ``keep`` until none is left.
 
-    def remove_leaf(self, u: str) -> "WeightedTree":
-        """Drop a pendant vertex and its edge; all other weights untouched."""
-        if u not in self.tree:
-            raise UnknownVertex(f"no vertex {u!r}")
-        if self.tree.degree(u) != 1:
-            raise NotPendant(f"{u!r} has degree {self.tree.degree(u)}, not 1")
-        neighbor = self.tree.neighbors(u)[0]
-        vw = dict(self._vertex_weights)
-        del vw[u]
-        ew = dict(self._edge_weights)
-        del ew[edge_key(u, neighbor)]
-        out = object.__new__(WeightedTree)
-        out.tree = self.tree.without_leaf(u)
-        out._vertex_weights = vw
-        out._edge_weights = ew
-        return out
+        Each step drops a pendant vertex u with neighbour p and sets p's
+        vector to ``fold(vector(p), vector(u), edge_weight(u, p))``.  The
+        smallest pendant goes first unless ``choose`` picks another.  Returns
+        the survivors' final vectors and leaves this WeightedTree unchanged;
+        the tree is never rebuilt, so a step costs u's degree plus a heap
+        operation.
+        """
+        vectors = dict(self._vertex_weights)
+        degree = {v: len(ns) for v, ns in self.tree._adj.items()}
+        # Already sorted, hence already a heap.
+        pendants = [u for u in self.tree.pendant_vertices() if u not in keep]
+        while pendants:
+            if choose is None:
+                u = heapq.heappop(pendants)
+            else:
+                u = choose(sorted(pendants))
+                pendants.remove(u)
+                heapq.heapify(pendants)
+            p = next(w for w in self.tree.neighbors(u) if w in vectors)
+            vectors[p] = fold(vectors[p], vectors.pop(u), self.edge_weight(u, p))
+            degree[p] -= 1
+            if degree[p] == 0:
+                break  # p is all that is left
+            if degree[p] == 1 and p not in keep:
+                heapq.heappush(pendants, p)
+        return vectors
+
+    def truncated(self) -> "WeightedTree":
+        """Every vector without its top entry: the cap k-1 view of cap k."""
+        return WeightedTree(
+            self.tree,
+            {v: vec.truncated() for v, vec in self._vertex_weights.items()},
+            self._edge_weights,
+        )
 
     def split(self, u: str, v: str) -> tuple["WeightedTree", "WeightedTree"]:
         """Split at edge (u, v), weights restricted to each side."""
@@ -335,3 +346,18 @@ class WeightedTree:
 
     def __repr__(self) -> str:
         return f"WeightedTree({self.tree!r})"
+
+
+def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
+    """``t`` with ``vector_type.initial(k)`` at every vertex, or, for a
+    WeightedTree, ``t`` itself once every vector is checked to be a
+    ``vector_type`` of length k+1."""
+    if isinstance(t, WeightedTree):
+        for v in t.tree.vertices:
+            vec = t.vector(v)
+            if not isinstance(vec, vector_type) or len(vec) != k + 1:
+                raise LengthMismatch(
+                    f"vertex {v!r} needs a {vector_type.__name__} of length {k + 1}"
+                )
+        return t
+    return WeightedTree(t, {v: vector_type.initial(k) for v in t.vertices})

@@ -2,9 +2,23 @@
 
 import pytest
 
-from subtreecount import Tree, parse_edge_list, random_tree
+from subtreecount import Tree, WeightedTree, parse_edge_list, random_tree
 
 ENSEMBLE_BASE_SEED = 0xC0FFEE
+
+
+def fold_pendant(wt, u, fold):
+    """``wt`` with pendant vertex u folded into its neighbour p and removed.
+
+    The new vector of p is ``fold(vector(p), vector(u), edge_weight(u, p))``.
+    The result is built through the public constructors, independently of
+    ``WeightedTree.contract``.
+    """
+    (p,) = wt.tree.neighbors(u)
+    vectors = {v: wt.vector(v) for v in wt.tree.vertices if v != u}
+    vectors[p] = fold(wt.vector(p), wt.vector(u), wt.edge_weight(u, p))
+    rest = wt.tree.induced(set(vectors))
+    return WeightedTree(rest, vectors, {e: wt.edge_weight(*e) for e in rest.edges})
 
 
 def seeded_ensemble(per_size=25, sizes=range(2, 10)):

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 import itertools
 import random
 import time
+from functools import partial
 
 from subtreecount import (
     BiPoly,
@@ -28,7 +29,7 @@ from subtreecount import (
     WeightedTree,
 )
 
-from conftest import seeded_ensemble
+from conftest import fold_pendant, seeded_ensemble
 
 P = BiPoly.parse
 
@@ -168,12 +169,8 @@ def test_criterion_5_invariance_suites():
         eliminated = BiPoly.zero()
         while len(wt.tree.vertices) > 1:
             u = wt.tree.pendant_vertices()[0]
-            p = wt.tree.neighbors(u)[0]
             eliminated = eliminated + wt.vector(u).sum_range(0, k)
-            folded = leaf_update_subtree(
-                wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k
-            )
-            wt = wt.with_vector(p, folded).remove_leaf(u)
+            wt = fold_pendant(wt, u, partial(leaf_update_subtree, k=k))
             ok = ok and eliminated + count_all(wt, k) == total
 
     _report(5, ok, "order, split-edge and single-step conservation invariances",

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,8 @@ from subtreecount import (
     random_tree,
     rooted_parity_vectors,
 )
+
+from conftest import fold_pendant
 
 P = BiPoly.parse
 
@@ -141,10 +144,8 @@ def test_one_contraction_step_preserves_results():
         if not pendants:
             continue
         u = rng.choice(pendants)
-        p = t.neighbors(u)[0]
         wt = WeightedTree(t, {v: ParityDegreeVector.initial(k) for v in t.vertices})
-        folded = leaf_update_bc(wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k)
-        contracted = wt.with_vector(p, folded).remove_leaf(u)
+        contracted = fold_pendant(wt, u, partial(leaf_update_bc, k=k))
         assert rooted_parity_vectors(contracted, k, root) == rooted_parity_vectors(
             t, k, root
         )

@@ -150,6 +150,9 @@ def test_usage_errors_exit_1(capsys, path3_file):
     assert run(capsys, "subtrees", "--k", "2", "--contains", "a,b,c", path3_file)[0] == 1
     assert run(capsys, "ratio", "--n", "4", "--samples", "0", "--kmax", "2",
                "--seed", "1", "--out", "x.csv")[0] == 1
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "random-tree", "--n", n, "--seed", "1")
+        assert (code, out) == (1, "") and err.startswith("usage error")
 
 
 def test_data_errors_exit_2(capsys, tmp_path, path3_file):

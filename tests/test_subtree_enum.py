@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,8 @@ from subtreecount import (
     parse_edge_list,
     random_tree,
 )
+
+from conftest import fold_pendant
 
 P = BiPoly.parse
 
@@ -151,9 +154,7 @@ def test_contraction_step_preserves_anchored_counts():
         if not pendants:
             continue
         u = rng.choice(pendants)
-        p = t.neighbors(u)[0]
-        folded = leaf_update_subtree(wt.vector(p), wt.vector(u), wt.edge_weight(u, p), k)
-        contracted = wt.with_vector(p, folded).remove_leaf(u)
+        contracted = fold_pendant(wt, u, partial(leaf_update_subtree, k=k))
         assert count_containing(contracted, k, anchors[0]) == count_containing(
             t, k, anchors[0]
         )

@@ -1,23 +1,29 @@
+import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from subtreecount import (
     NotATree,
-    NotPendant,
     ParseError,
     SameVertex,
     Tree,
     UnknownVertex,
     WeightedTree,
-    Y,
     Z,
-    ZERO,
     DegreeVector,
+    count_all,
+    count_bc_containing_pair,
+    count_containing,
+    count_containing_pair,
+    count_exact_degree,
+    leaf_update_subtree,
     parse_edge_list,
     prufer_decode,
     random_tree,
     render_edge_list,
+    rooted_parity_vectors,
 )
 
 
@@ -153,37 +159,102 @@ def test_weighted_tree_requires_full_coverage(path3):
         )
 
 
-def test_remove_leaf(path3):
-    wt = _default_weighted(path3)
-    smaller = wt.remove_leaf("a")
-    assert set(smaller.tree.vertices) == {"b", "c"}
-    assert smaller.vector("b") == wt.vector("b")
-    with pytest.raises(NotPendant):
-        wt.remove_leaf("b")
-    single = smaller.remove_leaf("c")
-    assert single.tree.vertices == ("b",)
-    with pytest.raises(NotPendant):
-        single.remove_leaf("b")
+def _labelled(t):
+    """A WeightedTree whose vectors are the vertex labels themselves."""
+    return WeightedTree(t, {v: v for v in t.vertices})
 
 
-def test_repeated_remove_leaf_takes_n_minus_1_steps():
-    t = random_tree(9, 77)
-    wt = WeightedTree(t, {v: DegreeVector.initial(1) for v in t.vertices})
-    steps = 0
-    while wt.tree.pendant_vertices():
-        wt = wt.remove_leaf(wt.tree.pendant_vertices()[0])
-        steps += 1
-    assert steps == 8
-    assert len(wt.tree.vertices) == 1
+def _recording_fold(eliminated):
+    def fold(parent, leaf, edge_weight):
+        eliminated.append(leaf)
+        return parent
+
+    return fold
 
 
-def test_with_vector_replaces_one_entry(path3):
-    wt = _default_weighted(path3)
-    v2 = DegreeVector((Y, Y, ZERO))
-    wt2 = wt.with_vector("b", v2)
-    assert wt2.vector("b") == v2
-    assert wt.vector("b") != v2
-    assert wt2.vector("a") == wt.vector("a")
+def test_contract_with_empty_keep_folds_n_minus_1_times():
+    for n, seed in [(1, 3), (2, 3), (9, 77), (14, 5)]:
+        eliminated = []
+        survivors = _labelled(random_tree(n, seed)).contract(
+            frozenset(), _recording_fold(eliminated)
+        )
+        assert len(eliminated) == n - 1
+        assert len(survivors) == 1
+        assert set(eliminated) | set(survivors) == set(random_tree(n, seed).vertices)
+
+
+def test_contract_keeps_every_vertex_in_keep():
+    rng = random.Random(41)
+    for i in range(20):
+        t = random_tree(rng.randint(2, 12), 900 + i)
+        for size in (1, 2):
+            keep = frozenset(rng.sample(t.vertices, size))
+            survivors = _labelled(t).contract(keep, _recording_fold([]))
+            assert keep <= set(survivors)
+            if size == 2:
+                assert set(survivors) == set(t.path_between(*sorted(keep)))
+
+
+def test_contract_folds_smallest_pendant_by_default(path5):
+    eliminated = []
+    _labelled(path5).contract(frozenset(["m"]), _recording_fold(eliminated))
+    assert eliminated == ["a", "b", "e", "d"]
+
+
+def test_contract_choose_gets_sorted_pendants_outside_keep_and_is_obeyed():
+    rng = random.Random(43)
+    for i in range(20):
+        t = random_tree(rng.randint(2, 12), 950 + i)
+        keep = frozenset(rng.sample(t.vertices, rng.randint(0, 2)))
+        offered, chosen, eliminated = [], [], []
+
+        def choose(candidates):
+            offered.append(candidates)
+            chosen.append(rng.choice(candidates))
+            return chosen[-1]
+
+        _labelled(t).contract(keep, _recording_fold(eliminated), choose)
+        assert eliminated == chosen
+        remaining = set(t.vertices)
+        for candidates, u in zip(offered, chosen):
+            pendants = t.induced(remaining).pendant_vertices()
+            assert candidates == [v for v in pendants if v not in keep]
+            remaining.discard(u)
+        left = t.induced(remaining).pendant_vertices() if len(remaining) > 1 else []
+        assert not [v for v in left if v not in keep]
+
+
+def test_contract_leaves_input_unchanged():
+    t = random_tree(10, 12)
+    k = 3
+    wt = WeightedTree(t, {v: DegreeVector.initial(k) for v in t.vertices})
+    before = {v: wt.vector(v) for v in t.vertices}
+    survivors = wt.contract(frozenset(), partial(leaf_update_subtree, k=k))
+    assert wt.tree == t
+    assert {v: wt.vector(v) for v in t.vertices} == before
+    assert all(wt.edge_weight(*e) == Z for e in t.edges)
+    (last,) = survivors.values()
+    assert last != before[next(iter(survivors))]
+
+
+def test_counting_modes_build_no_tree(monkeypatch):
+    t = random_tree(200, 2024)
+    a, b = t.vertices[0], t.vertices[-1]
+    built = []
+    original = Tree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, "__init__", counting_init)
+    count_all(t, 3)
+    count_containing(t, 3, a)
+    count_containing_pair(t, 3, a, b)
+    count_exact_degree(t, 3)
+    rooted_parity_vectors(t, 3, a)
+    count_bc_containing_pair(t, 3, a, b)
+    assert built == []
 
 
 def test_weighted_split_restricts_weights(path3):
