@@ -12,9 +12,11 @@ bare branch root (index 0) while the odd total starts at index 1, because
 a branch root that stays a leaf of the subtree sits at distance 1, which
 is odd seen from the neighbour but would need index 0 on the branch side.
 
-A BC-subtree is assembled from two rooted pieces joined by an edge whose
-endpoints land in opposite parity classes, which is what the cross
-products in the counting functions below encode.  Single vertices and
+A BC-subtree is counted once, at its top vertex: the one nearest the
+root of a single rooted contraction.  When that contraction eliminates a
+vertex, the vertex's vectors have absorbed its whole branch and nothing
+else, so they are its downward vectors, and the BC-subtrees topped there
+are read off them directly (see ``_topped_at``).  Single vertices and
 single edges never count as BC-subtrees.
 
 Counting functions accept a WeightedTree with custom vectors and evaluate
@@ -32,8 +34,6 @@ from typing import Callable, Sequence
 from .bipoly import BiPoly, ONE, Y, ZERO
 from .errors import KTooSmall, LengthMismatch, SameVertex, UnknownVertex
 from .tree import Chooser, Tree, WeightedTree, as_weighted
-
-EdgeChooser = Callable[[list[tuple[str, str]]], tuple[str, str]]
 
 
 class ParityDegreeVector:
@@ -120,61 +120,69 @@ def _require_k(k: int, minimum: int) -> None:
 
 
 def rooted_parity_vectors(
-    t: Tree | WeightedTree, k: int, root: str, *, choose: Chooser | None = None
+    t: Tree | WeightedTree,
+    k: int,
+    root: str,
+    *,
+    choose: Chooser | None = None,
+    finished: Callable[[ParityDegreeVector], None] | None = None,
 ) -> ParityDegreeVector:
     """Contract everything onto ``root`` and return its final vector pair.
 
     Entry j of the odd (even) result generates the subtrees containing
     root with root degree exactly j and all leaves at odd (even) distance.
+    ``finished``, if given, sees the final vector pair of every eliminated
+    vertex, which is that vertex's downward pair: the vectors of its
+    branch (what it cuts off from ``root``), rooted at it.
     """
     _require_k(k, 2)
     wt = as_weighted(t, k, ParityDegreeVector)
     if root not in wt.tree:
         raise UnknownVertex(f"no vertex {root!r}")
-    return wt.contract(frozenset([root]), partial(leaf_update_bc, k=k), choose)[root]
+
+    def fold(parent: ParityDegreeVector, leaf: ParityDegreeVector, edge_weight: BiPoly):
+        if finished is not None:
+            finished(leaf)
+        return leaf_update_bc(parent, leaf, edge_weight, k)
+
+    return wt.contract(frozenset([root]), fold, choose)[root]
 
 
-def _cross_product(
-    side_a: ParityDegreeVector, side_b: ParityDegreeVector, edge_weight: BiPoly, k: int
-) -> BiPoly:
-    """BC-subtrees spanning one specific edge: odd-rooted piece on one side
-    joined to an even-rooted piece on the other, both ways round.
+def _topped_at(vec: ParityDegreeVector, k: int) -> BiPoly:
+    """BC-subtrees whose top vertex has the downward pair ``vec``.
 
-    The edge consumes one degree unit at each endpoint, hence the k-1 caps;
-    the odd side needs degree >= 1 because its leaves must exist.
+    A top of degree >= 2 is no leaf, so its subtree's leaves may all sit
+    at odd or all at even distance from it.  A top of degree 1 is itself a
+    leaf, so the other leaves sit at even distance.  Index 0 is the bare
+    top, which never counts.
     """
-    return (
-        side_a.odd_sum(1, k - 1) * side_b.even_sum(0, k - 1)
-        + side_a.even_sum(0, k - 1) * side_b.odd_sum(1, k - 1)
-    ) * edge_weight
+    return vec.odd_sum(2, k) + vec.even_sum(1, k)
 
 
 def count_bc_all(
-    t: Tree | WeightedTree, k: int, *, choose_edge: EdgeChooser | None = None
+    t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None
 ) -> BiPoly:
     """Generating function of all BC-subtrees with maximum degree <= k.
 
     Each term y^a z^b counts BC-subtrees with b edges whose even parity
     class (the one holding all the leaves) has a vertices.
 
-    Split at an edge: every BC-subtree either crosses it (the cross
-    product of the two rooted sides) or lies wholly in one component
-    (recursion).  The result is independent of the split edge chosen.
+    One contraction onto the first vertex counts every BC-subtree at its
+    top vertex, so the result is independent of the root and of the
+    elimination order ``choose`` picks.  Input vectors with entries above
+    index 0 would count the bare vertices they start with; those terms
+    are taken off again (they are zero for the standard vectors).
     """
     _require_k(k, 2)
     wt = as_weighted(t, k, ParityDegreeVector)
-    return _bc_total(wt, k, choose_edge or min)
-
-
-def _bc_total(wt: WeightedTree, k: int, pick_edge: EdgeChooser) -> BiPoly:
-    if not wt.tree.edges:
-        return ZERO
-    u, p = pick_edge(sorted(wt.tree.edges))
-    side_u, side_p = wt.split(u, p)
-    vec_u = rooted_parity_vectors(side_u, k, u)
-    vec_p = rooted_parity_vectors(side_p, k, p)
-    cross = _cross_product(vec_p, vec_u, wt.edge_weight(u, p), k)
-    return cross + _bc_total(side_u, k, pick_edge) + _bc_total(side_p, k, pick_edge)
+    parts = []
+    root = rooted_parity_vectors(
+        wt, k, wt.tree.vertices[0], choose=choose,
+        finished=lambda vec: parts.append(_topped_at(vec, k)),
+    )
+    parts.append(_topped_at(root, k))
+    bare = BiPoly.sum(_topped_at(wt.vector(v), k) for v in wt.tree.vertices)
+    return BiPoly.sum(parts) - bare
 
 
 def count_bc_containing(
@@ -182,26 +190,15 @@ def count_bc_containing(
 ) -> BiPoly:
     """Generating function of BC-subtrees containing vertex v.
 
-    Peel off v's neighbour branches one at a time: BC-subtrees through the
-    peeled edge are the cross product of the two sides, and what is left
-    to count lives in the shrinking v-side tree.  An isolated v counts
-    nothing (no BC-subtree has fewer than three vertices).
+    Rooted at v, every such subtree has v as its top vertex, so the count
+    comes from v's final vector pair alone, less what v's input pair
+    counts on its own.  An isolated v counts nothing (no BC-subtree has
+    fewer than three vertices).
     """
     _require_k(k, 2)
     wt = as_weighted(t, k, ParityDegreeVector)
-    if v not in wt.tree:
-        raise UnknownVertex(f"no vertex {v!r}")
-    pick = choose or min
-    parts = []
-    while wt.tree.degree(v) > 0:
-        w = pick(list(wt.tree.neighbors(v)))
-        edge_poly = wt.edge_weight(v, w)
-        side_w, side_v = wt.split(w, v)
-        vec_v = rooted_parity_vectors(side_v, k, v)
-        vec_w = rooted_parity_vectors(side_w, k, w)
-        parts.append(_cross_product(vec_v, vec_w, edge_poly, k))
-        wt = side_v
-    return BiPoly.sum(parts)
+    vec = rooted_parity_vectors(wt, k, v, choose=choose)
+    return _topped_at(vec, k) - _topped_at(wt.vector(v), k)
 
 
 def count_bc_containing_pair(

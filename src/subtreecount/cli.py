@@ -15,7 +15,8 @@ or the JSON term list with ``--json``).  Weights are fixed to the standard
 initialization here; callers needing custom weights use the library API.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad tree, unknown
-vertex, k below the operation's minimum, oracle input too large).
+vertex, k below the operation's minimum, oracle input too large) or a
+count that ran out of memory or stack.
 """
 
 from __future__ import annotations
@@ -195,6 +196,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SubtreeCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: recursion limit reached while counting", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (the input or --k is too large)", file=sys.stderr)
         return 2
 
 

@@ -331,19 +331,6 @@ class WeightedTree:
             self._edge_weights,
         )
 
-    def split(self, u: str, v: str) -> tuple["WeightedTree", "WeightedTree"]:
-        """Split at edge (u, v), weights restricted to each side."""
-        side_u, side_v = self.tree.split(u, v)
-        return self._restrict(side_u), self._restrict(side_v)
-
-    def _restrict(self, sub: Tree) -> "WeightedTree":
-        keep = set(sub.vertices)
-        out = object.__new__(WeightedTree)
-        out.tree = sub
-        out._vertex_weights = {v: self._vertex_weights[v] for v in sub.vertices}
-        out._edge_weights = {e: self._edge_weights[e] for e in sub.edges}
-        return out
-
     def __repr__(self) -> str:
         return f"WeightedTree({self.tree!r})"
 

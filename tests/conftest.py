@@ -2,7 +2,14 @@
 
 import pytest
 
-from subtreecount import Tree, WeightedTree, parse_edge_list, random_tree
+from subtreecount import (
+    ZERO,
+    Tree,
+    WeightedTree,
+    parse_edge_list,
+    random_tree,
+    rooted_parity_vectors,
+)
 
 ENSEMBLE_BASE_SEED = 0xC0FFEE
 
@@ -19,6 +26,31 @@ def fold_pendant(wt, u, fold):
     vectors[p] = fold(wt.vector(p), wt.vector(u), wt.edge_weight(u, p))
     rest = wt.tree.induced(set(vectors))
     return WeightedTree(rest, vectors, {e: wt.edge_weight(*e) for e in rest.edges})
+
+
+def split_bc_count(wt, k, v=None):
+    """BC-subtree count of ``wt`` by the edge-split recursion, for any weights.
+
+    Every BC-subtree either crosses the split edge (a, b), where it joins
+    an odd-rooted piece on one side to an even-rooted piece on the other,
+    or lies wholly on one side.  With ``v``, only subtrees containing v
+    count, so a = v and only v's side is recursed into.
+    """
+    if not wt.tree.edges:
+        return ZERO
+    a, b = wt.tree.edges[0] if v is None else (v, wt.tree.neighbors(v)[0])
+    side_a, side_b = (
+        WeightedTree(s, {x: wt.vector(x) for x in s.vertices},
+                     {e: wt.edge_weight(*e) for e in s.edges})
+        for s in wt.tree.split(a, b)
+    )
+    va = rooted_parity_vectors(side_a, k, a)
+    vb = rooted_parity_vectors(side_b, k, b)
+    cross = (va.odd_sum(1, k - 1) * vb.even_sum(0, k - 1)
+             + va.even_sum(0, k - 1) * vb.odd_sum(1, k - 1)) * wt.edge_weight(a, b)
+    if v is not None:
+        return cross + split_bc_count(side_a, k, v)
+    return cross + split_bc_count(side_a, k) + split_bc_count(side_b, k)
 
 
 def seeded_ensemble(per_size=25, sizes=range(2, 10)):

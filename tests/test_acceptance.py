@@ -143,21 +143,16 @@ def test_criterion_5_invariance_suites():
         for _ in range(20):
             ok = ok and count_all(t, k, choose=rng.choice) == reference
 
-    # split-edge invariance: every edge forced as the first split
+    # root invariance: every vertex as the root of the BC contraction
     for t in (x for x in seeded_ensemble(per_size=6, sizes=range(3, 10))):
         n = len(t.vertices)
         for k in {2, n - 1}:
             if k < 2:
                 continue
             reference = count_bc_all(t, k)
-            for edge in t.edges:
-                state = {"forced": False}
-                def pick(cands, _e=edge, _s=state):
-                    if not _s["forced"] and _e in cands:
-                        _s["forced"] = True
-                        return _e
-                    return min(cands)
-                ok = ok and count_bc_all(t, k, choose_edge=pick) == reference
+            for r in t.vertices:
+                others = [v for v in t.vertices if v != r]
+                ok = ok and count_bc_all(Tree([r, *others], t.edges), k) == reference
 
     # one-step conservation: eliminated weight plus the contracted tree's
     # count reproduces the total at every step
@@ -173,7 +168,7 @@ def test_criterion_5_invariance_suites():
             wt = fold_pendant(wt, u, partial(leaf_update_subtree, k=k))
             ok = ok and eliminated + count_all(wt, k) == total
 
-    _report(5, ok, "order, split-edge and single-step conservation invariances",
+    _report(5, ok, "order, root and single-step conservation invariances",
             f"{time.time() - start:.1f}s")
 
 

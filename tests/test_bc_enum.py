@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -10,6 +11,7 @@ from subtreecount import (
     ONE,
     ParityDegreeVector,
     SameVertex,
+    Tree,
     UnknownVertex,
     WeightedTree,
     Y,
@@ -25,7 +27,7 @@ from subtreecount import (
     rooted_parity_vectors,
 )
 
-from conftest import fold_pendant
+from conftest import fold_pendant, split_bc_count
 
 P = BiPoly.parse
 
@@ -116,22 +118,96 @@ def test_count_bc_exact_degree(path5, star3):
         count_bc_exact_degree(star4, 2)
 
 
-def test_split_edge_invariance():
+def test_root_and_order_invariance():
+    # The (size, cap) pairs that random.Random(5) gave this test when its
+    # draws were interleaved with one rng.choice per split edge; written
+    # out so the trees stay the same whatever the elimination order draws.
+    cases = [(7, 4), (5, 2), (9, 3), (9, 4), (9, 5), (9, 2), (8, 6), (4, 2)]
     rng = random.Random(5)
-    for i in range(8):
-        t = random_tree(rng.randint(3, 9), 700 + i)
-        k = rng.randint(2, len(t.vertices) - 1)
+    for i, (n, k) in enumerate(cases):
+        t = random_tree(n, 700 + i)
         reference = count_bc_all(t, k)
-        for edge in t.edges:
-            state = {"forced": False}
-            def pick(cands, _edge=edge, _state=state):
-                if not _state["forced"] and _edge in cands:
-                    _state["forced"] = True
-                    return _edge
-                return min(cands)
-            assert count_bc_all(t, k, choose_edge=pick) == reference
+        for r in t.vertices:
+            others = [v for v in t.vertices if v != r]
+            assert count_bc_all(Tree([r, *others], t.edges), k) == reference
         for _ in range(3):
-            assert count_bc_all(t, k, choose_edge=rng.choice) == reference
+            assert count_bc_all(t, k, choose=rng.choice) == reference
+
+
+def test_custom_weights_match_the_split_recursion():
+    # Input vectors with entries above index 0 (and odd entries at all)
+    # are where counting at the top vertex needs its bare-vertex
+    # correction; the edge-split recursion never counted bare vertices.
+    rng = random.Random(4242)
+
+    def rand_poly():
+        return BiPoly(
+            {
+                (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3)
+                for _ in range(rng.randint(0, 2))
+            }
+        )
+
+    nonzero = 0
+    for n in range(1, 9):
+        for trial in range(6):
+            t = random_tree(n, 9100 + 10 * n + trial)
+            k = rng.randint(2, max(2, n - 1))
+            wt = WeightedTree(
+                t,
+                {
+                    v: ParityDegreeVector(
+                        [rand_poly() for _ in range(k + 1)],
+                        [rand_poly() for _ in range(k + 1)],
+                    )
+                    for v in t.vertices
+                },
+                {e: rand_poly() + Z for e in t.edges},
+            )
+            expected = split_bc_count(wt, k)
+            nonzero += bool(expected)
+            assert count_bc_all(wt, k) == expected, (n, trial)
+            for v in t.vertices:
+                assert count_bc_containing(wt, k, v) == split_bc_count(wt, k, v)
+    assert nonzero > 30
+
+
+def test_bc_counts_take_one_contraction(monkeypatch):
+    t = random_tree(40, 77)
+    calls = []
+    original = WeightedTree.contract
+
+    def counting_contract(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedTree, "contract", counting_contract)
+    count_bc_all(t, 3)
+    assert len(calls) == 1
+    count_bc_containing(t, 3, t.vertices[5])
+    assert len(calls) == 2
+
+
+def test_long_path_needs_no_recursion():
+    # the count runs in a loop: a 1,000-vertex path fits in 100 frames
+    # above the caller's depth
+    n = 1000
+    path = Tree([f"p{i}" for i in range(1, n + 1)],
+                [(f"p{i}", f"p{i + 1}") for i in range(1, n)])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        capped_2 = count_bc_all(path, 2)
+        capped_3 = count_bc_all(path, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capped_2.eval_counts() == sum(n - 2 * j for j in range(1, (n - 1) // 2 + 1))
+    assert capped_3 == capped_2
 
 
 def test_one_contraction_step_preserves_results():

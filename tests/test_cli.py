@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subtreecount import BiPoly, parse_edge_list, random_tree
+from subtreecount import BiPoly, parse_edge_list, random_tree, subtree_enum
 from subtreecount.cli import main
 from subtreecount.experiments import aggregate_path
 
@@ -167,3 +167,14 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     big.write_text("".join(f"{u} {v}\n" for u, v in random_tree(16, 0).edges))
     assert run(capsys, "oracle", "--k", "2", str(big))[0] == 2
     assert run(capsys, "subtrees", "--k", "2", str(tmp_path / "missing.txt"))[0] == 2
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_errors_exit_2_without_traceback(capsys, monkeypatch, path3_file, error):
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(subtree_enum, "count_all", exhausted)
+    code, out, err = run(capsys, "subtrees", "--k", "2", path3_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,7 +14,10 @@ from subtreecount import (
     Z,
     DegreeVector,
     count_all,
+    count_bc_all,
+    count_bc_containing,
     count_bc_containing_pair,
+    count_bc_exact_degree,
     count_containing,
     count_containing_pair,
     count_exact_degree,
@@ -253,15 +256,8 @@ def test_counting_modes_build_no_tree(monkeypatch):
     count_containing_pair(t, 3, a, b)
     count_exact_degree(t, 3)
     rooted_parity_vectors(t, 3, a)
+    count_bc_all(t, 3)
+    count_bc_containing(t, 3, a)
     count_bc_containing_pair(t, 3, a, b)
+    count_bc_exact_degree(t, 3)
     assert built == []
-
-
-def test_weighted_split_restricts_weights(path3):
-    wt = _default_weighted(path3)
-    left, right = wt.split("a", "b")
-    assert left.tree.vertices == ("a",)
-    assert set(right.tree.vertices) == {"b", "c"}
-    assert right.edge_weight("b", "c") == Z
-    with pytest.raises(UnknownVertex):
-        right.edge_weight("a", "b")
