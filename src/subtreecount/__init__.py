@@ -27,6 +27,7 @@ from .errors import (
     SameVertex,
     SubtreeCountError,
     TooLarge,
+    TooManyAnchors,
     UnknownVertex,
 )
 from .experiments import RatioRecord, emit_csv, mean_ratios, ratio_sweep
@@ -105,6 +106,7 @@ __all__ = [
     "NotATree",
     "UnknownVertex",
     "SameVertex",
+    "TooManyAnchors",
     "LengthMismatch",
     "NegativeCoefficient",
     "KTooSmall",

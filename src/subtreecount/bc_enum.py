@@ -31,8 +31,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Sequence
 
-from .bipoly import BiPoly, ONE, Y, ZERO
-from .errors import KTooSmall, LengthMismatch, SameVertex, UnknownVertex
+from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
+from .errors import (
+    KTooSmall,
+    LengthMismatch,
+    SameVertex,
+    TooManyAnchors,
+    UnknownVertex,
+)
 from .tree import Chooser, Tree, WeightedTree, as_weighted
 
 
@@ -175,14 +181,14 @@ def count_bc_all(
     """
     _require_k(k, 2)
     wt = as_weighted(t, k, ParityDegreeVector)
-    parts = []
+    total = _RunningSum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.vertices[0], choose=choose,
-        finished=lambda vec: parts.append(_topped_at(vec, k)),
+        finished=lambda vec: total.add(_topped_at(vec, k)),
     )
-    parts.append(_topped_at(root, k))
+    total.add(_topped_at(root, k))
     bare = BiPoly.sum(_topped_at(wt.vector(v), k) for v in wt.tree.vertices)
-    return BiPoly.sum(parts) - bare
+    return total.total() - bare
 
 
 def count_bc_containing(
@@ -267,7 +273,7 @@ def count_bc_exact_degree(
     _require_k(k, 3)
     anchors = tuple(anchors)
     if len(anchors) > 2:
-        raise ValueError(f"at most two anchors, got {len(anchors)}")
+        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
     wt = as_weighted(t, k, ParityDegreeVector)
     lower = wt.truncated()
     if len(anchors) == 0:

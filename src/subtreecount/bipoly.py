@@ -13,6 +13,22 @@ Coefficients are Python ints and therefore arbitrary precision: a star on
 Values are immutable after construction and all operations return new
 instances, so instances may be shared freely between concurrent runs.
 
+Products of small operands run a double loop over term pairs.  Large
+operands are multiplied by Kronecker substitution, so that CPython's big
+integer multiplication (Karatsuba) does the inner loop: each operand's
+terms are grouped into rows (one diagonal ``dz - dy`` each, or one ``dy``
+each, whichever gives the larger operand fewer rows; plain-subtree
+polynomials lie on one diagonal and become one row), each row is packed
+into one int with one byte-aligned slot per exponent, every pair of rows
+is multiplied, and each product is added into row ``r1 + r2`` and
+unpacked slot by slot.  The slot width is exact, not a guess:
+coefficients are never negative, so every coefficient of the product, and
+every partial sum of row products, is at most ``eval(a) * eval(b)`` (the
+product of the coefficient sums), and a slot of
+``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes holds it without a
+carry into the next slot.  Which path runs depends only on the operands'
+shape (see ``_PACK_MIN_TERMS``); both give the same dict.
+
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
 zero polynomial renders as ``0``.  The JSON form is a list of records
@@ -146,14 +162,14 @@ class BiPoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
-        if len(a) < len(b):  # fewer outer iterations
-            a, b = b, a
-        acc: dict[tuple[int, int], int] = {}
-        for (ay, az), ac in a.items():
-            for (by, bz), bc in b.items():
-                key = (ay + by, az + bz)
-                acc[key] = acc.get(key, 0) + ac * bc
-        return BiPoly._raw(acc)
+        if len(a) >= _PACK_MIN_TERMS <= len(b):
+            big = a if len(a) >= len(b) else b
+            by_line, by_dy = _row_count(big, True), _row_count(big, False)
+            line = by_line <= by_dy
+            row_pairs = min(by_line, by_dy) * _row_count(b if big is a else a, line)
+            if len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * row_pairs:
+                return BiPoly._raw(_mul_packed(a, b, line))
+        return BiPoly._raw(_mul_dict(a, b))
 
     @staticmethod
     def sum(items: Iterable["BiPoly"]) -> "BiPoly":
@@ -237,6 +253,111 @@ class BiPoly:
             if coeff:
                 acc[(dy, dz)] = coeff
         return cls._raw(acc)
+
+
+class _RunningSum:
+    """A sum of polynomials kept in one term dict, added to as they arrive.
+
+    Unlike ``acc = acc + part``, adding a part costs only its own terms.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self):
+        self._terms: dict[tuple[int, int], int] = {}
+
+    def add(self, poly: BiPoly) -> None:
+        terms = self._terms
+        for key, coeff in poly._terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+
+    def total(self) -> BiPoly:
+        return BiPoly._raw(dict(self._terms))
+
+
+# When to pack (``BiPoly.__mul__``).  The dict loop costs one step per
+# term pair; the packed product costs a few steps per term (packing and
+# unpacking) and per pair of rows.  On operands recorded from real counts
+# (CHANGES.md has the table), packing lost to the dict loop whenever the
+# smaller operand had fewer than 8 terms (a monomial edge weight times a
+# long row is the common case) and on 2-D operands with few term pairs
+# per row pair, and won above both limits.
+_PACK_MIN_TERMS = 8
+_PACK_MIN_PAIRS_PER_ROW_PAIR = 16
+
+
+def _mul_dict(a: dict, b: dict) -> dict:
+    """Product of two term dicts by the double loop over term pairs."""
+    if len(a) < len(b):  # fewer outer iterations
+        a, b = b, a
+    acc: dict[tuple[int, int], int] = {}
+    for (ay, az), ac in a.items():
+        for (by, bz), bc in b.items():
+            key = (ay + by, az + bz)
+            acc[key] = acc.get(key, 0) + ac * bc
+    return acc
+
+
+def _row_count(terms: dict, line: bool) -> int:
+    """Rows of ``terms`` when grouped by ``dz - dy`` (``line``) or by ``dy``."""
+    return len({dz - dy if line else dy for dy, dz in terms})
+
+
+def _packed_rows(terms: dict, line: bool, width: int) -> dict[int, tuple[int, int]]:
+    """Group ``terms`` into rows and pack each row into one int.
+
+    With ``line`` a row is one diagonal ``dz - dy`` and a term's slot is its
+    ``dy``; otherwise a row is one ``dy`` and the slot is ``dz``.  Returns
+    row -> (lowest slot, packed int), slot s of the row at bytes
+    ``(s - lowest) * width`` onwards, little-endian.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (dy, dz), coeff in terms.items():
+        row, slot = (dz - dy, dy) if line else (dy, dz)
+        rows.setdefault(row, {})[slot] = coeff
+    packed = {}
+    for row, slots in rows.items():
+        lowest = min(slots)
+        buf = bytearray((max(slots) - lowest + 1) * width)
+        for slot, coeff in slots.items():
+            at = (slot - lowest) * width
+            buf[at : at + width] = coeff.to_bytes(width, "little")
+        packed[row] = (lowest, int.from_bytes(buf, "little"))
+    return packed
+
+
+def _mul_packed(a: dict, b: dict, line: bool) -> dict:
+    """Product of two term dicts by Kronecker substitution, row by row.
+
+    Gives the same dict as ``_mul_dict`` for either ``line``; the slot
+    width cannot carry (see the module docstring).
+    """
+    width = ((sum(a.values()) * sum(b.values())).bit_length() + 7) // 8
+    if not width:  # an operand is zero
+        return {}
+    bits = 8 * width
+    rows_b = _packed_rows(b, line, width)
+    sums: dict[int, tuple[int, int]] = {}  # row -> (lowest slot, packed sum)
+    for ra, (la, va) in _packed_rows(a, line, width).items():
+        for rb, (lb, vb) in rows_b.items():
+            row, lowest, value = ra + rb, la + lb, va * vb
+            prev = sums.get(row)
+            if prev is None:
+                sums[row] = (lowest, value)
+            elif lowest >= prev[0]:
+                sums[row] = (prev[0], prev[1] + (value << bits * (lowest - prev[0])))
+            else:
+                sums[row] = (lowest, value + (prev[1] << bits * (prev[0] - lowest)))
+    acc: dict[tuple[int, int], int] = {}
+    for row, (lowest, value) in sums.items():
+        count = -(-value.bit_length() // bits)
+        data = value.to_bytes(count * width, "little")
+        for i in range(count):
+            coeff = int.from_bytes(data[i * width : (i + 1) * width], "little")
+            if coeff:
+                slot = lowest + i
+                acc[(slot, slot + row) if line else (row, slot)] = coeff
+    return acc
 
 
 _ZERO = BiPoly.zero()

@@ -21,6 +21,10 @@ class SameVertex(SubtreeCountError):
     """Two anchor vertices were required to be distinct but are equal."""
 
 
+class TooManyAnchors(SubtreeCountError, ValueError):
+    """More than two anchor vertices were given; a ValueError as well."""
+
+
 class LengthMismatch(SubtreeCountError):
     """Weight vectors of incompatible lengths were combined."""
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import KTooSmall, SameVertex, TooLarge, UnknownVertex
+from .errors import KTooSmall, SameVertex, TooLarge, TooManyAnchors, UnknownVertex
 from .tree import Tree, edge_key
 
 #: Default cap for oracle inputs; enumeration is exponential in n.
@@ -277,7 +277,7 @@ def rooted_parity_weight(
 def _check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:
     anchors = tuple(anchors)
     if len(anchors) > 2:
-        raise ValueError(f"at most two anchors, got {len(anchors)}")
+        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
     for a in anchors:
         if a not in t:
             raise UnknownVertex(f"no vertex {a!r}")

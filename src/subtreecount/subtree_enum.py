@@ -19,8 +19,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
-from .bipoly import BiPoly, Y, ZERO
-from .errors import KTooSmall, LengthMismatch, SameVertex, UnknownVertex
+from .bipoly import BiPoly, Y, ZERO, _RunningSum
+from .errors import (
+    KTooSmall,
+    LengthMismatch,
+    SameVertex,
+    TooManyAnchors,
+    UnknownVertex,
+)
 from .tree import Chooser, Tree, WeightedTree, as_weighted
 
 
@@ -91,16 +97,16 @@ def count_all(t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None) 
     """
     if k < 0:
         raise KTooSmall(f"k must be >= 0, got {k}")
-    parts = []
+    total = _RunningSum()
 
     def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
-        parts.append(leaf.sum_range(0, k))
+        total.add(leaf.sum_range(0, k))
         return leaf_update_subtree(parent, leaf, edge_weight, k)
 
     wt = as_weighted(t, k, DegreeVector)
     (last,) = wt.contract(frozenset(), fold, choose).values()
-    parts.append(last.sum_range(0, k))
-    return BiPoly.sum(parts)
+    total.add(last.sum_range(0, k))
+    return total.total()
 
 
 def count_containing(
@@ -163,7 +169,7 @@ def count_exact_degree(
         raise KTooSmall(f"exact-degree counting needs k >= 1, got {k}")
     anchors = tuple(anchors)
     if len(anchors) > 2:
-        raise ValueError(f"at most two anchors, got {len(anchors)}")
+        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
     wt = as_weighted(t, k, DegreeVector)
     lower = wt.truncated()
     if len(anchors) == 0:

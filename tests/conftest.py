@@ -53,6 +53,47 @@ def split_bc_count(wt, k, v=None):
     return cross + split_bc_count(side_a, k) + split_bc_count(side_b, k)
 
 
+def _capped_subtrees_by_size(t, k):
+    """Independent count: subtrees of ``t`` with maximum degree <= k, by size.
+
+    Plain integer lists, no ``BiPoly``: root ``t``, and for each vertex ``v``
+    build ``taken[j][s]``, the ways to pick ``j`` of its children with
+    downward subtrees of ``s`` vertices in total.  A subtree whose top vertex
+    is ``v`` may take up to k children; one that continues to ``v``'s parent
+    may take up to k - 1.  Returns ``{size: count}`` for nonzero counts.
+    """
+    adj = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = t.vertices[0]
+    parent, order = {root: None}, [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    n = len(order)
+    down, totals = {}, [0] * (n + 1)
+    for v in reversed(order):
+        taken = [[0] * n for _ in range(k + 1)]
+        taken[0][0] = 1
+        for c in adj[v]:
+            if c == parent[v]:
+                continue
+            for j in range(k, 0, -1):
+                row, prev = taken[j], taken[j - 1]
+                for s, ways in enumerate(prev):
+                    if ways:
+                        for size, count in enumerate(down[c]):
+                            if count:
+                                row[s + size] += ways * count
+        down[v] = [0] + [sum(taken[j][s] for j in range(k)) for s in range(n)]
+        for s in range(n):
+            totals[s + 1] += sum(taken[j][s] for j in range(k + 1))
+    return {a: c for a, c in enumerate(totals) if c}
+
+
 def seeded_ensemble(per_size=25, sizes=range(2, 10)):
     """Deterministic random-tree ensemble used by the acceptance suite."""
     return [

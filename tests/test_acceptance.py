@@ -29,7 +29,7 @@ from subtreecount import (
     WeightedTree,
 )
 
-from conftest import fold_pendant, seeded_ensemble
+from conftest import _capped_subtrees_by_size, fold_pendant, seeded_ensemble
 
 P = BiPoly.parse
 
@@ -200,47 +200,6 @@ def test_criterion_7_performance():
         "count_all on a random 90-vertex tree at k=8 finishes in under 5 s",
         f"{elapsed:.2f}s",
     )
-
-
-def _capped_subtrees_by_size(t, k):
-    """Independent count: subtrees of ``t`` with maximum degree <= k, by size.
-
-    Plain integer lists, no ``BiPoly``: root ``t``, and for each vertex ``v``
-    build ``taken[j][s]``, the ways to pick ``j`` of its children with
-    downward subtrees of ``s`` vertices in total.  A subtree whose top vertex
-    is ``v`` may take up to k children; one that continues to ``v``'s parent
-    may take up to k - 1.  Returns ``{size: count}`` for nonzero counts.
-    """
-    adj = {v: [] for v in t.vertices}
-    for u, v in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    root = t.vertices[0]
-    parent, order = {root: None}, [root]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    n = len(order)
-    down, totals = {}, [0] * (n + 1)
-    for v in reversed(order):
-        taken = [[0] * n for _ in range(k + 1)]
-        taken[0][0] = 1
-        for c in adj[v]:
-            if c == parent[v]:
-                continue
-            for j in range(k, 0, -1):
-                row, prev = taken[j], taken[j - 1]
-                for s, ways in enumerate(prev):
-                    if ways:
-                        for size, count in enumerate(down[c]):
-                            if count:
-                                row[s + size] += ways * count
-        down[v] = [0] + [sum(taken[j][s] for j in range(k)) for s in range(n)]
-        for s in range(n):
-            totals[s + 1] += sum(taken[j][s] for j in range(k + 1))
-    return {a: c for a, c in enumerate(totals) if c}
 
 
 def test_criterion_7_coefficients_exceed_64_bits_as_stated():

@@ -11,6 +11,7 @@ from subtreecount import (
     ONE,
     ParityDegreeVector,
     SameVertex,
+    TooManyAnchors,
     Tree,
     UnknownVertex,
     WeightedTree,
@@ -116,6 +117,8 @@ def test_count_bc_exact_degree(path5, star3):
     assert count_bc_exact_degree(star4, 4, ("l1", "l2")) == P("y^4*z^4")
     with pytest.raises(KTooSmall):
         count_bc_exact_degree(star4, 2)
+    with pytest.raises(TooManyAnchors):
+        count_bc_exact_degree(star4, 4, ("c", "l1", "l2"))
 
 
 def test_root_and_order_invariance():

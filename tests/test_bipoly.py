@@ -1,10 +1,26 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subtreecount import BiPoly, NegativeCoefficient, ONE, ParseError, Y, Z, ZERO
+from subtreecount import (
+    BiPoly,
+    NegativeCoefficient,
+    ONE,
+    ParseError,
+    Tree,
+    Y,
+    Z,
+    ZERO,
+    bipoly,
+    count_all,
+    count_bc_all,
+    random_tree,
+)
+from subtreecount.bipoly import _mul_dict, _mul_packed
+
+from conftest import _capped_subtrees_by_size
 
 P = BiPoly.parse
 
@@ -152,3 +168,92 @@ def test_text_round_trip(a):
 @given(polys)
 def test_json_round_trip(a):
     assert BiPoly.from_json(a.to_json()) == a
+
+
+# Operands for the packed product: at least _PACK_MIN_TERMS terms, so
+# ``*`` packs them when their rows are long enough.  Single-line operands
+# keep dz - dy fixed, as plain-subtree polynomials do; 2-D ones scatter
+# over a grid, as BC polynomials do.  Coefficients mix small values with
+# values past 2^64.
+coeffs = st.one_of(st.integers(1, 50), st.integers(2**64, 2**90))
+
+
+@st.composite
+def line_terms(draw):
+    diagonal = draw(st.integers(0, 4))
+    slots = draw(st.lists(st.integers(0, 40), min_size=8, max_size=30, unique=True))
+    return {(dy, dy + diagonal): draw(coeffs) for dy in slots}
+
+
+grid_terms = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), coeffs, min_size=8, max_size=60
+)
+operands = st.one_of(line_terms(), grid_terms)
+small_factors = st.sampled_from([{}, {(0, 0): 1}, {(3, 1): 2**70 + 1}, {(0, 2): 5}])
+
+
+@given(operands, operands)
+@example({(i, i): 2**64 + i for i in range(8)}, {(i, i + 1): 1 for i in range(8)})
+def test_packed_product_matches_dict_product(a, b):
+    expected = _mul_dict(a, b)
+    assert _mul_packed(a, b, True) == expected
+    assert _mul_packed(a, b, False) == expected
+    assert (BiPoly(a) * BiPoly(b)).terms() == expected
+
+
+@given(operands, small_factors)
+def test_packed_product_with_zero_one_and_monomials(a, m):
+    expected = _mul_dict(a, m)
+    assert _mul_packed(a, m, True) == expected == _mul_packed(m, a, True)
+    assert _mul_packed(a, m, False) == expected == _mul_packed(m, a, False)
+    assert BiPoly(a) * ZERO == ZERO and BiPoly(a) * ONE == BiPoly(a)
+
+
+def _count_packed(monkeypatch):
+    calls = []
+
+    def counted(a, b, line):
+        calls.append(line)
+        return _mul_packed(a, b, line)
+
+    monkeypatch.setattr(bipoly, "_mul_packed", counted)
+    return calls
+
+
+def test_mul_packs_only_long_rows(monkeypatch):
+    calls = _count_packed(monkeypatch)
+    line = BiPoly({(i, i + 2): i + 1 for i in range(20)})
+    assert line * line == BiPoly(_mul_dict(line.terms(), line.terms()))
+    assert calls == [True]  # one diagonal: a single row along dy
+    line * Z  # a monomial factor never packs
+    scattered = BiPoly({(i, (7 * i) % 30): 1 for i in range(30)})
+    scattered * scattered  # 9 diagonals of about 3 terms: too few pairs per row pair
+    assert calls == [True]
+    columns = BiPoly({(i % 2, i): 1 for i in range(40)})
+    columns * columns  # 2 rows by dy, 20 by diagonal
+    assert calls == [True, False]
+
+
+def test_packed_path_is_exact_past_64_bits(monkeypatch):
+    # A complete 8-ary tree: degrees reach 9, so the cap k = 8 binds, and
+    # the coefficients of the packed products reach about 2^243.
+    labels = [f"v{i}" for i in range(1, 301)]
+    edges = [(f"v{(i - 2) // 8 + 1}", f"v{i}") for i in range(2, 301)]
+    t = Tree(labels, edges)
+    calls = _count_packed(monkeypatch)
+    poly = count_all(t, 8)
+    assert calls
+    expected = {(a, a - 1): c for a, c in _capped_subtrees_by_size(t, 8).items()}
+    assert poly.terms() == expected
+    assert poly.max_coefficient() > 2**128
+
+
+def test_packed_bc_counts_match_the_dict_loop(monkeypatch):
+    trees = [random_tree(200, seed) for seed in (1, 2)]
+    calls = _count_packed(monkeypatch)
+    packed = [count_bc_all(t, 8) for t in trees]
+    assert calls
+    monkeypatch.setattr(bipoly, "_PACK_MIN_TERMS", float("inf"))
+    del calls[:]
+    assert [count_bc_all(t, 8) for t in trees] == packed
+    assert not calls

@@ -5,7 +5,9 @@ from subtreecount import (
     KTooSmall,
     ONE,
     SameVertex,
+    SubtreeCountError,
     TooLarge,
+    TooManyAnchors,
     UnknownVertex,
     Y,
     ZERO,
@@ -121,6 +123,11 @@ def test_oracle_count_guards(path3):
         oracle_count(path3, 2, "subtree", ("nope",))
     with pytest.raises(SameVertex):
         oracle_count(path3, 2, "subtree", ("a", "a"))
+    with pytest.raises(TooManyAnchors) as raised:
+        oracle_count(path3, 2, "subtree", ("a", "b", "c"))
+    # a library error that existing ``except ValueError`` callers still catch
+    assert isinstance(raised.value, SubtreeCountError)
+    assert isinstance(raised.value, ValueError)
     with pytest.raises(ValueError):
         oracle_count(path3, 2, "spanning")
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -9,6 +10,7 @@ from subtreecount import (
     KTooSmall,
     LengthMismatch,
     SameVertex,
+    TooManyAnchors,
     Tree,
     UnknownVertex,
     WeightedTree,
@@ -16,6 +18,7 @@ from subtreecount import (
     Z,
     ZERO,
     count_all,
+    count_bc_all,
     count_containing,
     count_containing_pair,
     count_exact_degree,
@@ -119,6 +122,8 @@ def test_count_exact_degree(path3, star3):
     assert count_exact_degree(path3, 2) == P("y^3*z^2")
     with pytest.raises(KTooSmall):
         count_exact_degree(path3, 0)
+    with pytest.raises(TooManyAnchors):
+        count_exact_degree(path3, 2, ("a", "b", "c"))
 
 
 def test_count_exact_degree_anchored(path3, star3):
@@ -234,3 +239,21 @@ def test_big_integer_capability_at_depth():
     # spot-check exactness at the small end, where hand counting works
     assert poly.coefficient(1, 0) == 90
     assert poly.coefficient(2, 1) == 89
+
+
+@pytest.mark.parametrize("count", [count_all, count_bc_all])
+def test_memory_grows_linearly_on_a_long_path(count):
+    # Labelled in order, the path is eliminated from one end, and the part
+    # counted at the i-th vertex has about i terms: kept until the end,
+    # the parts would grow quadratically (about 20x from n = 100 to 400).
+    peaks = []
+    for n in (100, 400):
+        labels = [f"p{i:04d}" for i in range(n)]
+        t = Tree(labels, list(zip(labels, labels[1:])))
+        tracemalloc.start()
+        try:
+            count(t, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * peaks[0]
