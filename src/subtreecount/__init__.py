@@ -19,6 +19,7 @@ from .bc_enum import (
     rooted_parity_vectors,
 )
 from .errors import (
+    InvalidArgument,
     KTooSmall,
     LengthMismatch,
     NegativeCoefficient,
@@ -102,6 +103,7 @@ __all__ = [
     "emit_csv",
     "mean_ratios",
     "SubtreeCountError",
+    "InvalidArgument",
     "ParseError",
     "NotATree",
     "UnknownVertex",

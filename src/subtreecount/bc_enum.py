@@ -32,14 +32,9 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
-from .errors import (
-    KTooSmall,
-    LengthMismatch,
-    SameVertex,
-    TooManyAnchors,
-    UnknownVertex,
-)
-from .tree import Chooser, Tree, WeightedTree, as_weighted
+from .errors import LengthMismatch
+from .subtree_enum import exact_degree, fold_row, range_sum
+from .tree import Tree, WeightedTree, as_weighted, check_anchors
 
 
 class ParityDegreeVector:
@@ -71,14 +66,10 @@ class ParityDegreeVector:
         return ParityDegreeVector(self.odd[:-1], self.even[:-1])
 
     def odd_sum(self, lo: int, hi: int) -> BiPoly:
-        if hi < lo:
-            return ZERO
-        return BiPoly.sum(self.odd[max(lo, 0) : hi + 1])
+        return range_sum(self.odd, lo, hi)
 
     def even_sum(self, lo: int, hi: int) -> BiPoly:
-        if hi < lo:
-            return ZERO
-        return BiPoly.sum(self.even[max(lo, 0) : hi + 1])
+        return range_sum(self.even, lo, hi)
 
     def __len__(self) -> int:
         return len(self.odd)
@@ -102,27 +93,13 @@ def leaf_update_bc(
 ) -> ParityDegreeVector:
     """Fold an eliminated pendant vertex into its neighbour's parity vectors.
 
-    Index 0 of both vectors is left untouched; new entries read only the
-    incoming parent vectors (same no-double-attach rule as the plain
-    subtree update).
+    The plain fold, with the parity twist: the odd vector attaches the
+    leaf's even sum, the even vector the leaf's odd sum from index 1.
     """
-    if len(parent) != k + 1 or len(leaf) != k + 1:
-        raise LengthMismatch(
-            f"vectors must have length {k + 1}, got {len(parent)} and {len(leaf)}"
-        )
-    attach_odd = edge_weight * leaf.even_sum(0, k - 1)
-    attach_even = edge_weight * leaf.odd_sum(1, k - 1)
-    odd = list(parent.odd)
-    even = list(parent.even)
-    for i in range(1, k + 1):
-        odd[i] = parent.odd[i] + parent.odd[i - 1] * attach_odd
-        even[i] = parent.even[i] + parent.even[i - 1] * attach_even
-    return ParityDegreeVector(odd, even)
-
-
-def _require_k(k: int, minimum: int) -> None:
-    if k < minimum:
-        raise KTooSmall(f"this operation needs k >= {minimum}, got {k}")
+    return ParityDegreeVector(
+        fold_row(parent.odd, leaf.even, 0, edge_weight, k),
+        fold_row(parent.even, leaf.odd, 1, edge_weight, k),
+    )
 
 
 def rooted_parity_vectors(
@@ -130,7 +107,6 @@ def rooted_parity_vectors(
     k: int,
     root: str,
     *,
-    choose: Chooser | None = None,
     finished: Callable[[ParityDegreeVector], None] | None = None,
 ) -> ParityDegreeVector:
     """Contract everything onto ``root`` and return its final vector pair.
@@ -141,17 +117,15 @@ def rooted_parity_vectors(
     vertex, which is that vertex's downward pair: the vectors of its
     branch (what it cuts off from ``root``), rooted at it.
     """
-    _require_k(k, 2)
-    wt = as_weighted(t, k, ParityDegreeVector)
-    if root not in wt.tree:
-        raise UnknownVertex(f"no vertex {root!r}")
+    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    check_anchors(wt.tree, (root,))
 
     def fold(parent: ParityDegreeVector, leaf: ParityDegreeVector, edge_weight: BiPoly):
         if finished is not None:
             finished(leaf)
         return leaf_update_bc(parent, leaf, edge_weight, k)
 
-    return wt.contract(frozenset([root]), fold, choose)[root]
+    return wt.contract(frozenset([root]), fold)[root]
 
 
 def _topped_at(vec: ParityDegreeVector, k: int) -> BiPoly:
@@ -162,12 +136,10 @@ def _topped_at(vec: ParityDegreeVector, k: int) -> BiPoly:
     leaf, so the other leaves sit at even distance.  Index 0 is the bare
     top, which never counts.
     """
-    return vec.odd_sum(2, k) + vec.even_sum(1, k)
+    return range_sum(vec.odd, 2, k) + range_sum(vec.even, 1, k)
 
 
-def count_bc_all(
-    t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None
-) -> BiPoly:
+def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     """Generating function of all BC-subtrees with maximum degree <= k.
 
     Each term y^a z^b counts BC-subtrees with b edges whose even parity
@@ -175,25 +147,21 @@ def count_bc_all(
 
     One contraction onto the first vertex counts every BC-subtree at its
     top vertex, so the result is independent of the root and of the
-    elimination order ``choose`` picks.  Input vectors with entries above
+    elimination order.  Input vectors with entries above
     index 0 would count the bare vertices they start with; those terms
     are taken off again (they are zero for the standard vectors).
     """
-    _require_k(k, 2)
-    wt = as_weighted(t, k, ParityDegreeVector)
+    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
     total = _RunningSum()
     root = rooted_parity_vectors(
-        wt, k, wt.tree.vertices[0], choose=choose,
-        finished=lambda vec: total.add(_topped_at(vec, k)),
+        wt, k, wt.tree.vertices[0], finished=lambda vec: total.add(_topped_at(vec, k))
     )
     total.add(_topped_at(root, k))
     bare = BiPoly.sum(_topped_at(wt.vector(v), k) for v in wt.tree.vertices)
     return total.total() - bare
 
 
-def count_bc_containing(
-    t: Tree | WeightedTree, k: int, v: str, *, choose: Chooser | None = None
-) -> BiPoly:
+def count_bc_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of BC-subtrees containing vertex v.
 
     Rooted at v, every such subtree has v as its top vertex, so the count
@@ -201,19 +169,13 @@ def count_bc_containing(
     counts on its own.  An isolated v counts nothing (no BC-subtree has
     fewer than three vertices).
     """
-    _require_k(k, 2)
-    wt = as_weighted(t, k, ParityDegreeVector)
-    vec = rooted_parity_vectors(wt, k, v, choose=choose)
+    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    vec = rooted_parity_vectors(wt, k, v)
     return _topped_at(vec, k) - _topped_at(wt.vector(v), k)
 
 
 def count_bc_containing_pair(
-    t: Tree | WeightedTree,
-    k: int,
-    vi: str,
-    vj: str,
-    *,
-    choose: Chooser | None = None,
+    t: Tree | WeightedTree, k: int, vi: str, vj: str
 ) -> BiPoly:
     """Generating function of BC-subtrees containing both vi and vj.
 
@@ -224,36 +186,21 @@ def count_bc_containing_pair(
     classes can fall on the path, and the endpoint factors pair up by the
     path length's parity.
     """
-    _require_k(k, 2)
-    wt = as_weighted(t, k, ParityDegreeVector)
-    for label in (vi, vj):
-        if label not in wt.tree:
-            raise UnknownVertex(f"no vertex {label!r}")
-    if vi == vj:
-        raise SameVertex(f"anchors must be distinct, got {vi!r} twice")
-    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_bc, k=k), choose)
+    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
     path = wt.tree.path_between(vi, vj)
+    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_bc, k=k))
     length = len(path) - 1
 
     # Interior product, pattern A: odd positions take even sums.
     # Pattern B is the complement.  Position parity is the distance from vi.
-    prod_a = ONE
-    prod_b = ONE
+    prod_a = prod_b = ONE
     for pos, u in enumerate(path[1:-1], start=1):
-        vec = vectors[u]
-        odd_s = vec.odd_sum(0, k - 2)
-        even_s = vec.even_sum(0, k - 2)
-        if pos % 2:
-            prod_a = prod_a * even_s
-            prod_b = prod_b * odd_s
-        else:
-            prod_a = prod_a * odd_s
-            prod_b = prod_b * even_s
+        sums = (vectors[u].odd_sum(0, k - 2), vectors[u].even_sum(0, k - 2))
+        prod_a = prod_a * sums[pos % 2]
+        prod_b = prod_b * sums[1 - pos % 2]
 
-    vec_i = vectors[vi]
-    vec_j = vectors[vj]
-    oi, ei = vec_i.odd_sum(1, k - 1), vec_i.even_sum(0, k - 1)
-    oj, ej = vec_j.odd_sum(1, k - 1), vec_j.even_sum(0, k - 1)
+    oi, ei = vectors[vi].odd_sum(1, k - 1), vectors[vi].even_sum(0, k - 1)
+    oj, ej = vectors[vj].odd_sum(1, k - 1), vectors[vj].even_sum(0, k - 1)
     if length % 2 == 0:
         total = oi * oj * prod_a + ei * ej * prod_b
     else:
@@ -268,20 +215,7 @@ def count_bc_exact_degree(
 ) -> BiPoly:
     """BC-subtrees of maximum degree exactly k: cap-k minus cap-(k-1).
 
-    Needs k >= 3 so that the lower cap is still a valid BC bound.
+    Needs k >= 3, one above the least BC cap.
     """
-    _require_k(k, 3)
-    anchors = tuple(anchors)
-    if len(anchors) > 2:
-        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
-    wt = as_weighted(t, k, ParityDegreeVector)
-    lower = wt.truncated()
-    if len(anchors) == 0:
-        return count_bc_all(wt, k) - count_bc_all(lower, k - 1)
-    if len(anchors) == 1:
-        return count_bc_containing(wt, k, anchors[0]) - count_bc_containing(
-            lower, k - 1, anchors[0]
-        )
-    return count_bc_containing_pair(wt, k, *anchors) - count_bc_containing_pair(
-        lower, k - 1, *anchors
-    )
+    modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
+    return exact_degree(modes, t, k, anchors, ParityDegreeVector, 2)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .errors import NegativeCoefficient, ParseError
+from .errors import InvalidArgument, NegativeCoefficient, ParseError
 
 # One optional coefficient, then optional y and z factors, '*'-separated.
 _TERM_RE = re.compile(
@@ -63,13 +63,13 @@ class BiPoly:
             for key, coeff in terms.items():
                 dy, dz = key
                 if not (isinstance(dy, int) and isinstance(dz, int)):
-                    raise ValueError(f"exponents must be ints, got {key!r}")
+                    raise InvalidArgument(f"exponents must be ints, got {key!r}")
                 if dy < 0 or dz < 0:
-                    raise ValueError(f"negative exponent in {key!r}")
+                    raise InvalidArgument(f"negative exponent in {key!r}")
                 if not isinstance(coeff, int):
-                    raise ValueError(f"coefficient for {key!r} is not an int")
+                    raise InvalidArgument(f"coefficient for {key!r} is not an int")
                 if coeff < 0:
-                    raise ValueError(f"negative coefficient for {key!r}")
+                    raise InvalidArgument(f"negative coefficient for {key!r}")
                 if coeff:
                     clean[(dy, dz)] = coeff
         self._terms = clean

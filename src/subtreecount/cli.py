@@ -28,9 +28,9 @@ from typing import Sequence
 
 from . import bc_enum, oracle, subtree_enum
 from .bipoly import BiPoly
-from .errors import KTooSmall, SubtreeCountError
+from .errors import SubtreeCountError
 from .experiments import emit_csv, ratio_sweep
-from .tree import Tree, parse_edge_list, random_tree, render_edge_list
+from .tree import Tree, parse_edge_list, random_tree, render_edge_list, require_k
 
 
 class _UsageError(Exception):
@@ -125,32 +125,29 @@ def _anchors(args) -> tuple[str, ...]:
 def _count_poly(args, t: Tree) -> BiPoly:
     anchors = _anchors(args)
     k = args.k
-    if args.command == "subtrees":
-        if args.exact_degree:
-            return subtree_enum.count_exact_degree(t, k, anchors)
-        if len(anchors) == 0:
-            return subtree_enum.count_all(t, k)
-        if len(anchors) == 1:
-            return subtree_enum.count_containing(t, k, anchors[0])
-        return subtree_enum.count_containing_pair(t, k, *anchors)
-    if args.command == "bc":
-        if args.exact_degree:
-            return bc_enum.count_bc_exact_degree(t, k, anchors)
-        if len(anchors) == 0:
-            return bc_enum.count_bc_all(t, k)
-        if len(anchors) == 1:
-            return bc_enum.count_bc_containing(t, k, anchors[0])
-        return bc_enum.count_bc_containing_pair(t, k, *anchors)
-    # oracle
-    if args.exact_degree:
-        floor = 3 if args.family == "bc" else 1
-        if k < floor:
-            raise KTooSmall(f"exact-degree needs k >= {floor}, got {k}")
+    if args.command == "oracle":
+        if not args.exact_degree:
+            return oracle.oracle_count(t, k, args.family, anchors)
+        require_k(k, 3 if args.family == "bc" else 1)
         high = oracle.oracle_count(t, k, args.family, anchors)
-        if args.family == "subtree" and len(anchors) == 2 and k == 1:
-            return high
         return high - oracle.oracle_count(t, k - 1, args.family, anchors)
-    return oracle.oracle_count(t, k, args.family, anchors)
+    if args.command == "subtrees":
+        exact = subtree_enum.count_exact_degree
+        modes = (
+            subtree_enum.count_all,
+            subtree_enum.count_containing,
+            subtree_enum.count_containing_pair,
+        )
+    else:
+        exact = bc_enum.count_bc_exact_degree
+        modes = (
+            bc_enum.count_bc_all,
+            bc_enum.count_bc_containing,
+            bc_enum.count_bc_containing_pair,
+        )
+    if args.exact_degree:
+        return exact(t, k, anchors)
+    return modes[len(anchors)](t, k, *anchors)
 
 
 def _run(args) -> int:

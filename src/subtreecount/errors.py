@@ -21,6 +21,10 @@ class SameVertex(SubtreeCountError):
     """Two anchor vertices were required to be distinct but are equal."""
 
 
+class InvalidArgument(SubtreeCountError, ValueError):
+    """An argument outside the operation's domain; a ValueError as well."""
+
+
 class TooManyAnchors(SubtreeCountError, ValueError):
     """More than two anchor vertices were given; a ValueError as well."""
 

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
+from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
 from .tree import Tree, WeightedTree, random_tree
 
@@ -41,16 +42,13 @@ class RatioRecord:
     ratio: Fraction
 
 
-def _unit_subtree_count(t: Tree, k: int) -> int:
-    weights = {v: DegreeVector.initial(k, ONE) for v in t.vertices}
-    edges = {e: ONE for e in t.edges}
-    return count_all(WeightedTree(t, weights, edges), k).eval_counts()
-
-
-def _unit_bc_count(t: Tree, k: int) -> int:
-    weights = {v: ParityDegreeVector.initial(k, ONE) for v in t.vertices}
-    edges = {e: ONE for e in t.edges}
-    return count_bc_all(WeightedTree(t, weights, edges), k).eval_counts()
+def _unit_count(t: Tree, k: int, family: str) -> int:
+    if family == "bc":
+        vector_type, count = ParityDegreeVector, count_bc_all
+    else:
+        vector_type, count = DegreeVector, count_all
+    weights = {v: vector_type.initial(k, ONE) for v in t.vertices}
+    return count(WeightedTree(t, weights, {e: ONE for e in t.edges}), k).eval_counts()
 
 
 def ratio_sweep(
@@ -67,24 +65,23 @@ def ratio_sweep(
     given (n, samples, seed, family) call replays exactly.
     """
     if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        raise InvalidArgument(f"family must be one of {FAMILIES}, got {family!r}")
     min_n = 3 if family == "bc" else 2
     if n < min_n:
-        raise ValueError(f"family {family!r} needs n >= {min_n}, got {n}")
+        raise InvalidArgument(f"family {family!r} needs n >= {min_n}, got {n}")
     if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+        raise InvalidArgument(f"samples must be >= 0, got {samples}")
     if not 1 <= k_max <= n - 1:
-        raise ValueError(f"k_max must lie in 1..{n - 1}, got {k_max}")
-    count = _unit_bc_count if family == "bc" else _unit_subtree_count
+        raise InvalidArgument(f"k_max must lie in 1..{n - 1}, got {k_max}")
     k_lo = 2 if family == "bc" else 1
     master = random.Random(seed)
     tree_seeds = [master.getrandbits(63) for _ in range(samples)]
     records = []
     for sample_id, tree_seed in enumerate(tree_seeds):
         t = random_tree(n, tree_seed)
-        denominator = count(t, n - 1)
+        denominator = _unit_count(t, n - 1, family)
         for k in range(k_lo, k_max + 1):
-            ratio = Fraction(count(t, k), denominator)
+            ratio = Fraction(_unit_count(t, k, family), denominator)
             records.append(RatioRecord(n=n, k=k, sample_id=sample_id, ratio=ratio))
     records.sort(key=lambda r: (r.n, r.k, r.sample_id))
     return records

@@ -26,7 +26,14 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import KTooSmall, SameVertex, TooLarge, TooManyAnchors, UnknownVertex
+from .errors import (
+    InvalidArgument,
+    KTooSmall,
+    SameVertex,
+    TooLarge,
+    TooManyAnchors,
+    UnknownVertex,
+)
 from .tree import Tree, edge_key
 
 #: Default cap for oracle inputs; enumeration is exponential in n.
@@ -256,9 +263,9 @@ def rooted_parity_weight(
     """Definitional rooted weight: the witness counts toward root degree j
     with every non-root leaf at odd (resp. even) distance from the root."""
     if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        raise InvalidArgument(f"parity must be 'odd' or 'even', got {parity!r}")
     if not 0 <= j <= k:
-        raise ValueError(f"j must lie in 0..{k}, got {j}")
+        raise InvalidArgument(f"j must lie in 0..{k}, got {j}")
     if root not in w.vertices:
         raise UnknownVertex(f"{root!r} not in witness")
     odd_vec, even_vec = _parity_vecs(vertex_weights, root, k)
@@ -321,7 +328,7 @@ def oracle_count(
 ) -> BiPoly:
     """Sum of definitional weights over all witnesses containing the anchors."""
     if family not in ("subtree", "bc"):
-        raise ValueError(f"family must be 'subtree' or 'bc', got {family!r}")
+        raise InvalidArgument(f"family must be 'subtree' or 'bc', got {family!r}")
     if len(t.vertices) > max_vertices:
         raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {max_vertices}")
     if family == "bc" and k < 2:

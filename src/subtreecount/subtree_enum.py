@@ -9,25 +9,73 @@ since attaching uses one unit of u's degree budget).  Repeating this until
 the tree is a single vertex turns local vectors into global counts.
 
 The elimination loop itself is ``WeightedTree.contract``, shared with the
-BC family; this module supplies the vector type and the fold.  The three
-public counting modes differ only in which vertices survive the
+BC family.  This module supplies the vector type and the fold, and also
+the steps the BC family repeats with two vectors per vertex: the range
+sum, the fold body and the exact-degree dispatch.  The three public
+counting modes differ only in which vertices survive the
 contraction and how the surviving vectors are combined.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bipoly import BiPoly, Y, ZERO, _RunningSum
-from .errors import (
-    KTooSmall,
-    LengthMismatch,
-    SameVertex,
-    TooManyAnchors,
-    UnknownVertex,
-)
-from .tree import Chooser, Tree, WeightedTree, as_weighted
+from .errors import LengthMismatch
+from .tree import Tree, WeightedTree, as_weighted, check_anchors
+
+
+def range_sum(entries: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
+    """Sum of entries lo..hi inclusive; empty or negative ranges are zero."""
+    if hi < lo:
+        return ZERO
+    return BiPoly.sum(entries[max(lo, 0) : hi + 1])
+
+
+def fold_row(
+    parent: Sequence[BiPoly], leaf: Sequence[BiPoly], lo: int, edge_weight: BiPoly, k: int
+) -> list[BiPoly]:
+    """The fold of both families, on one degree-indexed row.
+
+    The branch hung off the removed edge is ``edge_weight`` times the
+    leaf's entries lo..k-1.  New entries read only the incoming parent
+    row, never already-updated entries; otherwise the same leaf could
+    attach twice.
+    """
+    if len(parent) != k + 1 or len(leaf) != k + 1:
+        raise LengthMismatch(
+            f"vectors must have length {k + 1}, got {len(parent)} and {len(leaf)}"
+        )
+    attach = edge_weight * range_sum(leaf, lo, k - 1)
+    out = list(parent)
+    for i in range(1, k + 1):
+        out[i] = parent[i] + parent[i - 1] * attach
+    return out
+
+
+def exact_degree(
+    modes: Sequence[Callable[..., BiPoly]],
+    t: Tree | WeightedTree,
+    k: int,
+    anchors: Sequence[str],
+    vector_type,
+    minimum: int,
+) -> BiPoly:
+    """Maximum degree exactly k: the cap-k count minus the cap-(k-1) count.
+
+    ``modes`` are the family's counts with zero, one and two anchors, and
+    ``minimum`` its least k (a pair also needs k >= 1).  A lower cap below
+    the mode's minimum counts nothing.  The difference is never negative:
+    whatever cap k-1 counts, cap k counts too.
+    """
+    wt = as_weighted(t, k, vector_type, min_k=minimum + 1)
+    anchors = check_anchors(wt.tree, anchors)
+    count = modes[len(anchors)]
+    high = count(wt, k, *anchors)
+    if k - 1 < max(minimum, len(anchors) - 1):
+        return high
+    return high - count(wt.truncated(), k - 1, *anchors)
 
 
 class DegreeVector:
@@ -51,9 +99,7 @@ class DegreeVector:
 
     def sum_range(self, lo: int, hi: int) -> BiPoly:
         """Sum of entries lo..hi inclusive; empty or negative ranges are zero."""
-        if hi < lo:
-            return ZERO
-        return BiPoly.sum(self.entries[max(lo, 0) : hi + 1])
+        return range_sum(self.entries, lo, hi)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -73,63 +119,37 @@ class DegreeVector:
 def leaf_update_subtree(
     parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly, k: int
 ) -> DegreeVector:
-    """Fold an eliminated pendant vertex into its neighbour's vector.
-
-    Every new entry is computed from the incoming parent vector, never from
-    already-updated entries; otherwise the same leaf could attach twice.
-    """
-    if len(parent) != k + 1 or len(leaf) != k + 1:
-        raise LengthMismatch(
-            f"vectors must have length {k + 1}, got {len(parent)} and {len(leaf)}"
-        )
-    attach = edge_weight * leaf.sum_range(0, k - 1)
-    out = list(parent.entries)
-    for i in range(1, k + 1):
-        out[i] = parent.entries[i] + parent.entries[i - 1] * attach
-    return DegreeVector(out)
+    """Fold an eliminated pendant vertex into its neighbour's vector."""
+    return DegreeVector(fold_row(parent.entries, leaf.entries, 0, edge_weight, k))
 
 
-def count_all(t: Tree | WeightedTree, k: int, *, choose: Chooser | None = None) -> BiPoly:
+def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     """Generating function of all subtrees with maximum degree <= k.
 
     Each term y^a z^b counts subtrees with a vertices and b edges (under
     the default weights); evaluate at y = z = 1 for the plain count.
     """
-    if k < 0:
-        raise KTooSmall(f"k must be >= 0, got {k}")
+    wt = as_weighted(t, k, DegreeVector, min_k=0)
     total = _RunningSum()
 
     def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
-        total.add(leaf.sum_range(0, k))
+        total.add(range_sum(leaf.entries, 0, k))
         return leaf_update_subtree(parent, leaf, edge_weight, k)
 
-    wt = as_weighted(t, k, DegreeVector)
-    (last,) = wt.contract(frozenset(), fold, choose).values()
-    total.add(last.sum_range(0, k))
+    (last,) = wt.contract(frozenset(), fold).values()
+    total.add(range_sum(last.entries, 0, k))
     return total.total()
 
 
-def count_containing(
-    t: Tree | WeightedTree, k: int, v: str, *, choose: Chooser | None = None
-) -> BiPoly:
+def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
-    if k < 0:
-        raise KTooSmall(f"k must be >= 0, got {k}")
-    wt = as_weighted(t, k, DegreeVector)
-    if v not in wt.tree:
-        raise UnknownVertex(f"no vertex {v!r}")
-    vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k), choose)
+    wt = as_weighted(t, k, DegreeVector, min_k=0)
+    check_anchors(wt.tree, (v,))
+    vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k))
     return vectors[v].sum_range(0, k)
 
 
-def count_containing_pair(
-    t: Tree | WeightedTree,
-    k: int,
-    vi: str,
-    vj: str,
-    *,
-    choose: Chooser | None = None,
-) -> BiPoly:
+def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> BiPoly:
     """Generating function of subtrees containing both vi and vj.
 
     After contracting everything else, only the vi..vj path remains.  Any
@@ -138,16 +158,9 @@ def count_containing_pair(
     one degree unit on the path (entries up to k-1), interior vertices
     spend two (entries up to k-2).
     """
-    if k < 1:
-        raise KTooSmall(f"two-vertex counting needs k >= 1, got {k}")
-    wt = as_weighted(t, k, DegreeVector)
-    for label in (vi, vj):
-        if label not in wt.tree:
-            raise UnknownVertex(f"no vertex {label!r}")
-    if vi == vj:
-        raise SameVertex(f"anchors must be distinct, got {vi!r} twice")
-    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k), choose)
+    wt = as_weighted(t, k, DegreeVector, min_k=1)
     path = wt.tree.path_between(vi, vj)
+    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k))
     acc = vectors[vi].sum_range(0, k - 1) * vectors[vj].sum_range(0, k - 1)
     for u in path[1:-1]:
         acc = acc * vectors[u].sum_range(0, k - 2)
@@ -162,25 +175,7 @@ def count_exact_degree(
     """Subtrees of maximum degree exactly k: the cap-k count minus cap-(k-1).
 
     ``anchors`` selects the mode: none for all subtrees, one vertex, or a
-    pair of vertices.  The subtraction can never go negative because every
-    cap-(k-1) subtree also satisfies cap k.
+    pair of vertices.  Needs k >= 1.
     """
-    if k < 1:
-        raise KTooSmall(f"exact-degree counting needs k >= 1, got {k}")
-    anchors = tuple(anchors)
-    if len(anchors) > 2:
-        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
-    wt = as_weighted(t, k, DegreeVector)
-    lower = wt.truncated()
-    if len(anchors) == 0:
-        return count_all(wt, k) - count_all(lower, k - 1)
-    if len(anchors) == 1:
-        return count_containing(wt, k, anchors[0]) - count_containing(
-            lower, k - 1, anchors[0]
-        )
-    if k == 1:
-        # No subtree with maximum degree 0 contains two distinct vertices.
-        return count_containing_pair(wt, k, *anchors)
-    return count_containing_pair(wt, k, *anchors) - count_containing_pair(
-        lower, k - 1, *anchors
-    )
+    modes = (count_all, count_containing, count_containing_pair)
+    return exact_degree(modes, t, k, anchors, DegreeVector, 0)

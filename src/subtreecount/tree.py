@@ -18,10 +18,16 @@ import random
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, Z
-from .errors import LengthMismatch, NotATree, ParseError, SameVertex, UnknownVertex
-
-#: Picks the next vertex to eliminate from the sorted candidate list.
-Chooser = Callable[[list[str]], str]
+from .errors import (
+    InvalidArgument,
+    KTooSmall,
+    LengthMismatch,
+    NotATree,
+    ParseError,
+    SameVertex,
+    TooManyAnchors,
+    UnknownVertex,
+)
 
 
 def _check_label(label: str) -> str:
@@ -112,12 +118,7 @@ class Tree:
 
     def path_between(self, u: str, v: str) -> list[str]:
         """The unique path from u to v, endpoints included."""
-        if u not in self._adj:
-            raise UnknownVertex(f"no vertex {u!r}")
-        if v not in self._adj:
-            raise UnknownVertex(f"no vertex {v!r}")
-        if u == v:
-            raise SameVertex(f"path endpoints must differ, got {u!r} twice")
+        check_anchors(self, (u, v))
         parent = {u: u}
         frontier = [u]
         while v not in parent:
@@ -133,27 +134,6 @@ class Tree:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-    def component_vertices(self, start: str, cut_edge: tuple[str, str]) -> set[str]:
-        """Vertices reachable from ``start`` without crossing ``cut_edge``."""
-        blocked = edge_key(*cut_edge)
-        reached = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in self._adj[x]:
-                if edge_key(x, w) == blocked or w in reached:
-                    continue
-                reached.add(w)
-                stack.append(w)
-        return reached
-
-    def split(self, u: str, v: str) -> tuple["Tree", "Tree"]:
-        """Remove edge (u, v); return the component of u, then the one of v."""
-        if edge_key(u, v) not in set(self._edges):
-            raise UnknownVertex(f"({u!r}, {v!r}) is not an edge of this tree")
-        side_u = self.component_vertices(u, (u, v))
-        return self.induced(side_u), self.induced(set(self._vertices) - side_u)
 
     def induced(self, keep: set[str]) -> "Tree":
         verts = [v for v in self._vertices if v in keep]
@@ -214,9 +194,9 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     next sequence entry, then join the final two leaves.
     """
     if n < 2:
-        raise ValueError("decoding needs n >= 2")
+        raise InvalidArgument("decoding needs n >= 2")
     if len(seq) != n - 2:
-        raise ValueError(f"sequence length must be n-2, got {len(seq)}")
+        raise InvalidArgument(f"sequence length must be n-2, got {len(seq)}")
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -241,7 +221,7 @@ def random_tree(n: int, seed: int) -> Tree:
     so identical (n, seed) pairs replay identical trees.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     labels = [f"v{i}" for i in range(1, n + 1)]
     if n == 1:
         return Tree(labels, [])
@@ -265,13 +245,13 @@ class WeightedTree:
         edge_weights: Mapping[tuple[str, str], BiPoly] | None = None,
     ):
         if set(vertex_weights) != set(tree.vertices):
-            raise ValueError("vertex weights must cover every vertex exactly")
+            raise InvalidArgument("vertex weights must cover every vertex exactly")
         if edge_weights is None:
             ew = {e: Z for e in tree.edges}
         else:
             ew = {edge_key(*e): w for e, w in edge_weights.items()}
             if set(ew) != set(tree.edges):
-                raise ValueError("edge weights must cover every edge exactly")
+                raise InvalidArgument("edge weights must cover every edge exactly")
         self.tree = tree
         self._vertex_weights = dict(vertex_weights)
         self._edge_weights = ew
@@ -292,28 +272,22 @@ class WeightedTree:
         self,
         keep: frozenset[str],
         fold: Callable[[object, object, BiPoly], object],
-        choose: Chooser | None = None,
     ) -> dict[str, object]:
         """Eliminate pendant vertices outside ``keep`` until none is left.
 
         Each step drops a pendant vertex u with neighbour p and sets p's
         vector to ``fold(vector(p), vector(u), edge_weight(u, p))``.  The
-        smallest pendant goes first unless ``choose`` picks another.  Returns
-        the survivors' final vectors and leaves this WeightedTree unchanged;
-        the tree is never rebuilt, so a step costs u's degree plus a heap
-        operation.
+        smallest pendant label goes first, so relabelling the vertices picks
+        any elimination order.  Returns the survivors' final vectors and
+        leaves this WeightedTree unchanged; the tree is never rebuilt, so a
+        step costs u's degree plus a heap operation.
         """
         vectors = dict(self._vertex_weights)
         degree = {v: len(ns) for v, ns in self.tree._adj.items()}
         # Already sorted, hence already a heap.
         pendants = [u for u in self.tree.pendant_vertices() if u not in keep]
         while pendants:
-            if choose is None:
-                u = heapq.heappop(pendants)
-            else:
-                u = choose(sorted(pendants))
-                pendants.remove(u)
-                heapq.heapify(pendants)
+            u = heapq.heappop(pendants)
             p = next(w for w in self.tree.neighbors(u) if w in vectors)
             vectors[p] = fold(vectors[p], vectors.pop(u), self.edge_weight(u, p))
             degree[p] -= 1
@@ -335,10 +309,16 @@ class WeightedTree:
         return f"WeightedTree({self.tree!r})"
 
 
-def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
+def require_k(k: int, minimum: int) -> None:
+    if k < minimum:
+        raise KTooSmall(f"this operation needs k >= {minimum}, got {k}")
+
+
+def as_weighted(t: Tree | WeightedTree, k: int, vector_type, min_k: int) -> WeightedTree:
     """``t`` with ``vector_type.initial(k)`` at every vertex, or, for a
     WeightedTree, ``t`` itself once every vector is checked to be a
-    ``vector_type`` of length k+1."""
+    ``vector_type`` of length k+1; either way, once k >= min_k is checked."""
+    require_k(k, min_k)
     if isinstance(t, WeightedTree):
         for v in t.tree.vertices:
             vec = t.vector(v)
@@ -348,3 +328,17 @@ def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
                 )
         return t
     return WeightedTree(t, {v: vector_type.initial(k) for v in t.vertices})
+
+
+def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:
+    """``anchors`` as a tuple, once it is known to hold at most two vertices
+    of ``t``, and two distinct ones if two."""
+    anchors = tuple(anchors)
+    if len(anchors) > 2:
+        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
+    for a in anchors:
+        if a not in t:
+            raise UnknownVertex(f"no vertex {a!r}")
+    if len(anchors) == 2 and anchors[0] == anchors[1]:
+        raise SameVertex(f"anchors must be distinct, got {anchors[0]!r} twice")
+    return anchors

@@ -5,7 +5,9 @@ import pytest
 from subtreecount import (
     ZERO,
     Tree,
+    UnknownVertex,
     WeightedTree,
+    edge_key,
     parse_edge_list,
     random_tree,
     rooted_parity_vectors,
@@ -28,6 +30,49 @@ def fold_pendant(wt, u, fold):
     return WeightedTree(rest, vectors, {e: wt.edge_weight(*e) for e in rest.edges})
 
 
+def split(t, u, v):
+    """Remove edge (u, v) from ``t``; return the component of u, then of v."""
+    if edge_key(u, v) not in set(t.edges):
+        raise UnknownVertex(f"({u!r}, {v!r}) is not an edge of this tree")
+    side_u, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for w in t.neighbors(x):
+            if w not in side_u and edge_key(x, w) != edge_key(u, v):
+                side_u.add(w)
+                stack.append(w)
+    return t.induced(side_u), t.induced(set(t.vertices) - side_u)
+
+
+def relabel(t, rng):
+    """``t`` under a random relabelling, and the map back to t's labels.
+
+    Contraction eliminates the smallest pendant label first, so a random
+    relabelling draws a random elimination order (every order is reached:
+    label the vertices in the wanted order).  The vertex list is shuffled
+    too, which moves the first vertex, the root of ``count_bc_all``.
+    """
+    order = list(t.vertices)
+    rng.shuffle(order)
+    new = {v: f"r{i:03d}" for i, v in enumerate(order)}
+    vertices = list(new.values())
+    rng.shuffle(vertices)
+    relabelled = Tree(vertices, [(new[a], new[b]) for a, b in t.edges])
+    return relabelled, {label: v for v, label in new.items()}
+
+
+def elimination_order(t, keep=()):
+    """The vertices ``WeightedTree.contract`` eliminates from ``t``, in order."""
+    eliminated = []
+
+    def fold(parent, leaf, edge_weight):
+        eliminated.append(leaf)
+        return parent
+
+    WeightedTree(t, {v: v for v in t.vertices}).contract(frozenset(keep), fold)
+    return eliminated
+
+
 def split_bc_count(wt, k, v=None):
     """BC-subtree count of ``wt`` by the edge-split recursion, for any weights.
 
@@ -42,7 +87,7 @@ def split_bc_count(wt, k, v=None):
     side_a, side_b = (
         WeightedTree(s, {x: wt.vector(x) for x in s.vertices},
                      {e: wt.edge_weight(*e) for e in s.edges})
-        for s in wt.tree.split(a, b)
+        for s in split(wt.tree, a, b)
     )
     va = rooted_parity_vectors(side_a, k, a)
     vb = rooted_parity_vectors(side_b, k, b)

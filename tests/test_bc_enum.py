@@ -28,7 +28,7 @@ from subtreecount import (
     rooted_parity_vectors,
 )
 
-from conftest import fold_pendant, split_bc_count
+from conftest import elimination_order, fold_pendant, relabel, split_bc_count
 
 P = BiPoly.parse
 
@@ -124,17 +124,24 @@ def test_count_bc_exact_degree(path5, star3):
 def test_root_and_order_invariance():
     # The (size, cap) pairs that random.Random(5) gave this test when its
     # draws were interleaved with one rng.choice per split edge; written
-    # out so the trees stay the same whatever the elimination order draws.
+    # out so the trees stay the same whatever the relabellings draw.
     cases = [(7, 4), (5, 2), (9, 3), (9, 4), (9, 5), (9, 2), (8, 6), (4, 2)]
     rng = random.Random(5)
+    draws = reordered = 0
     for i, (n, k) in enumerate(cases):
         t = random_tree(n, 700 + i)
         reference = count_bc_all(t, k)
         for r in t.vertices:
             others = [v for v in t.vertices if v != r]
             assert count_bc_all(Tree([r, *others], t.edges), k) == reference
+        default = elimination_order(t, [t.vertices[0]])
         for _ in range(3):
-            assert count_bc_all(t, k, choose=rng.choice) == reference
+            relabelled, back = relabel(t, rng)
+            assert count_bc_all(relabelled, k) == reference
+            order = elimination_order(relabelled, [relabelled.vertices[0]])
+            draws += 1
+            reordered += [back[v] for v in order] != default
+    assert reordered > draws / 2, (reordered, draws)
 
 
 def test_custom_weights_match_the_split_recursion():

@@ -9,6 +9,7 @@ from subtreecount import (
     NegativeCoefficient,
     ONE,
     ParseError,
+    SubtreeCountError,
     Tree,
     Y,
     Z,
@@ -81,10 +82,12 @@ def test_coefficient_lookup():
 
 
 def test_constructor_rejects_bad_terms():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         BiPoly({(-1, 0): 1})
-    with pytest.raises(ValueError):
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
         BiPoly({(0, 0): -2})
+    assert isinstance(raised.value, SubtreeCountError)
     assert BiPoly({(1, 1): 0}) == ZERO  # zero coefficients are dropped
 
 

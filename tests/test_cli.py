@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from subtreecount import BiPoly, parse_edge_list, random_tree, subtree_enum
+import subtreecount as sc
+from subtreecount import BiPoly, bc_enum, parse_edge_list, random_tree, subtree_enum
 from subtreecount.cli import main
 from subtreecount.experiments import aggregate_path
 
@@ -110,12 +111,16 @@ def test_oracle_matches_main_subcommands(capsys, tmp_path):
         (["--k", "3", "--contains", "v1"], ["--family", "subtree"]),
         (["--k", "3", "--contains", "v1,v2", "--genfun"], ["--family", "subtree"]),
         (["--k", "2", "--exact-degree"], ["--family", "subtree"]),
+        # v1 and v4 are adjacent: the one pair that counts at k = 1
+        (["--k", "1", "--exact-degree", "--contains", "v1,v4"], ["--family", "subtree"]),
+        (["--k", "3", "--exact-degree", "--contains", "v1"], ["--family", "subtree"]),
     ]:
         _, expected, _ = run(capsys, "subtrees", *flags, str(tree_file))
         _, got, _ = run(capsys, "oracle", *flags, *mirrored, str(tree_file))
         assert got == expected, flags
     for flags in (["--k", "2"], ["--k", "3", "--contains", "v1", "--genfun"],
-                  ["--k", "3", "--exact-degree"]):
+                  ["--k", "3", "--exact-degree"],
+                  ["--k", "3", "--exact-degree", "--contains", "v1,v2"]):
         _, expected, _ = run(capsys, "bc", *flags, str(tree_file))
         _, got, _ = run(capsys, "oracle", *flags, "--family", "bc", str(tree_file))
         assert got == expected, flags
@@ -178,3 +183,47 @@ def test_resource_errors_exit_2_without_traceback(capsys, monkeypatch, path3_fil
     code, out, err = run(capsys, "subtrees", "--k", "2", path3_file)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_count_calls_the_folds_through_their_module_bindings(
+    capsys, monkeypatch, tmp_path
+):
+    # A tracer that re-binds these module globals must see every count
+    # reach them; a function captured at import time would bypass it.
+    calls = set()
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.add(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(subtree_enum, "leaf_update_subtree")
+    record(bc_enum, "leaf_update_bc")
+    record(bc_enum, "rooted_parity_vectors")
+    t = random_tree(9, 5)
+    a, b = t.vertices[0], t.vertices[1]
+    tree_file = tmp_path / "t.txt"
+    tree_file.write_text("".join(f"{u} {v}\n" for u, v in t.edges))
+    fold = {"leaf_update_subtree"}
+    bc_fold = {"leaf_update_bc"}
+    rooted = {"leaf_update_bc", "rooted_parity_vectors"}
+    for run_case, expected in [
+        (lambda: sc.count_all(t, 3), fold),
+        (lambda: sc.count_containing(t, 3, a), fold),
+        (lambda: sc.count_containing_pair(t, 3, a, b), fold),
+        (lambda: sc.count_exact_degree(t, 3, (a, b)), fold),
+        (lambda: sc.count_bc_all(t, 3), rooted),
+        (lambda: sc.count_bc_containing(t, 3, a), rooted),
+        (lambda: sc.count_bc_containing_pair(t, 3, a, b), bc_fold),
+        (lambda: sc.count_bc_exact_degree(t, 3), rooted),
+        (lambda: sc.ratio_sweep(6, 2, 3, 0, "subtree"), fold),
+        (lambda: sc.ratio_sweep(6, 2, 3, 0, "bc"), rooted),
+        (lambda: main(["bc", "--k", "3", str(tree_file)]), rooted),
+    ]:
+        calls.clear()
+        run_case()
+        assert expected <= calls, expected

@@ -4,6 +4,7 @@ import pytest
 
 from subtreecount import (
     RatioRecord,
+    SubtreeCountError,
     count_all,
     count_bc_all,
     emit_csv,
@@ -12,8 +13,7 @@ from subtreecount import (
     ratio_sweep,
 )
 from subtreecount.experiments import (
-    _unit_bc_count,
-    _unit_subtree_count,
+    _unit_count,
     aggregate_path,
 )
 
@@ -24,9 +24,9 @@ def test_unit_weight_counts_equal_evaluated_genfuns():
     for seed in (11, 12, 13):
         t = random_tree(9, seed)
         for k in (1, 3, 8):
-            assert _unit_subtree_count(t, k) == count_all(t, k).eval_counts()
+            assert _unit_count(t, k, "subtree") == count_all(t, k).eval_counts()
         for k in (2, 4, 8):
-            assert _unit_bc_count(t, k) == count_bc_all(t, k).eval_counts()
+            assert _unit_count(t, k, "bc") == count_bc_all(t, k).eval_counts()
 
 
 def test_p3_sweep_example():
@@ -59,14 +59,18 @@ def test_ratios_monotone_and_saturate():
 
 
 def test_sweep_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         ratio_sweep(3, 2, 1, seed=0, family="spanning")
-    with pytest.raises(ValueError):
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
         ratio_sweep(2, 2, 1, seed=0, family="bc")
-    with pytest.raises(ValueError):
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
         ratio_sweep(5, 2, 5, seed=0)
-    with pytest.raises(ValueError):
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
         ratio_sweep(5, -1, 3, seed=0)
+    assert isinstance(raised.value, SubtreeCountError)
 
 
 def test_emit_csv_empty(tmp_path):

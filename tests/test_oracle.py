@@ -104,8 +104,12 @@ def test_rooted_parity_weight_examples(path3):
     assert rooted_parity_weight(whole, "a", 2, 1, "odd") == ZERO
     with pytest.raises(UnknownVertex):
         rooted_parity_weight(edge, "zzz", 2, 1, "odd")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         rooted_parity_weight(edge, "a", 2, 1, "sideways")
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
+        rooted_parity_weight(edge, "a", 2, 3, "odd")
+    assert isinstance(raised.value, SubtreeCountError)
 
 
 def test_oracle_count_examples(path3, star3):
@@ -128,8 +132,9 @@ def test_oracle_count_guards(path3):
     # a library error that existing ``except ValueError`` callers still catch
     assert isinstance(raised.value, SubtreeCountError)
     assert isinstance(raised.value, ValueError)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         oracle_count(path3, 2, "spanning")
+    assert isinstance(raised.value, SubtreeCountError)
 
 
 def test_saturated_oracle_is_unconstrained():

@@ -19,6 +19,7 @@ from subtreecount import (
     ZERO,
     count_all,
     count_bc_all,
+    count_bc_exact_degree,
     count_containing,
     count_containing_pair,
     count_exact_degree,
@@ -29,7 +30,7 @@ from subtreecount import (
     random_tree,
 )
 
-from conftest import fold_pendant
+from conftest import elimination_order, fold_pendant, relabel, seeded_ensemble
 
 P = BiPoly.parse
 
@@ -138,13 +139,44 @@ def test_count_exact_degree_anchored(path3, star3):
 
 
 def test_order_invariance():
+    # The (size, cap) pairs that random.Random(31) gave this test when its
+    # draws were interleaved with rng.choice over pendant lists; written
+    # out so the trees stay the same whatever the relabellings draw.
+    cases = [(2, 1), (4, 0), (2, 1), (8, 5), (6, 2), (5, 0), (2, 1), (3, 1),
+             (2, 0), (2, 0), (6, 5), (5, 1), (5, 3), (9, 4), (6, 3)]
     rng = random.Random(31)
-    for i in range(15):
-        t = random_tree(rng.randint(2, 10), 800 + i)
-        k = rng.randint(0, len(t.vertices) - 1)
+    draws = reordered = 0
+    for i, (n, k) in enumerate(cases):
+        t = random_tree(n, 800 + i)
         reference = count_all(t, k)
+        default = elimination_order(t)
         for _ in range(4):
-            assert count_all(t, k, choose=rng.choice) == reference
+            relabelled, back = relabel(t, rng)
+            assert count_all(relabelled, k) == reference
+            draws += 1
+            reordered += [back[v] for v in elimination_order(relabelled)] != default
+    assert reordered > draws / 2, (reordered, draws)
+
+
+def test_exact_degree_matches_the_oracle_in_every_mode():
+    # cap k minus cap k-1 by the oracle, for every k from the family's
+    # least exact-degree cap, with no anchor, one anchor and one pair
+    rng = random.Random(8080)
+    nonzero = {}
+    for t in seeded_ensemble(per_size=4, sizes=range(3, 9)):
+        n = len(t.vertices)
+        modes = ((), (rng.choice(t.vertices),), tuple(rng.sample(t.vertices, 2)))
+        for family, exact, k_lo in (("subtree", count_exact_degree, 1),
+                                    ("bc", count_bc_exact_degree, 3)):
+            for k in range(k_lo, n):
+                for anchors in modes:
+                    expected = oracle_count(t, k, family, anchors) - oracle_count(
+                        t, k - 1, family, anchors
+                    )
+                    assert exact(t, k, anchors) == expected, (family, k, anchors)
+                    key = (family, len(anchors))
+                    nonzero[key] = nonzero.get(key, 0) + bool(expected)
+    assert len(nonzero) == 6 and min(nonzero.values()) >= 5, nonzero
 
 
 def test_contraction_step_preserves_anchored_counts():

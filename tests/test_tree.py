@@ -5,9 +5,11 @@ from functools import partial
 import pytest
 
 from subtreecount import (
+    InvalidArgument,
     NotATree,
     ParseError,
     SameVertex,
+    SubtreeCountError,
     Tree,
     UnknownVertex,
     WeightedTree,
@@ -28,6 +30,8 @@ from subtreecount import (
     render_edge_list,
     rooted_parity_vectors,
 )
+
+from conftest import split
 
 
 def test_parse_path():
@@ -104,16 +108,25 @@ def test_path_between(path3, star3):
 
 
 def test_split(path3):
-    left, right = path3.split("b", "a")
+    left, right = split(path3, "b", "a")
     assert set(left.vertices) == {"b", "c"}
     assert right.vertices == ("a",)
     with pytest.raises(UnknownVertex):
-        path3.split("a", "c")
+        split(path3, "a", "c")
 
 
 def test_prufer_decode_star():
     # the all-ones sequence decodes to the star centred on that vertex
     assert set(prufer_decode([0, 0], 4)) == {(1, 0), (2, 0), (0, 3)}
+
+
+def test_generators_reject_bad_arguments():
+    for call in (lambda: prufer_decode([], 1), lambda: prufer_decode([0], 4),
+                 lambda: random_tree(0, 1)):
+        with pytest.raises(InvalidArgument) as raised:
+            call()
+        assert isinstance(raised.value, SubtreeCountError)
+        assert isinstance(raised.value, ValueError)
 
 
 def test_random_tree_small_cases():
@@ -152,14 +165,16 @@ def test_weighted_tree_default_edge_weight(path3):
 
 
 def test_weighted_tree_requires_full_coverage(path3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         WeightedTree(path3, {"a": DegreeVector.initial(2)})
-    with pytest.raises(ValueError):
+    assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:
         WeightedTree(
             path3,
             {v: DegreeVector.initial(2) for v in path3.vertices},
             {("a", "b"): Z},
         )
+    assert isinstance(raised.value, SubtreeCountError)
 
 
 def _labelled(t):
@@ -202,29 +217,6 @@ def test_contract_folds_smallest_pendant_by_default(path5):
     eliminated = []
     _labelled(path5).contract(frozenset(["m"]), _recording_fold(eliminated))
     assert eliminated == ["a", "b", "e", "d"]
-
-
-def test_contract_choose_gets_sorted_pendants_outside_keep_and_is_obeyed():
-    rng = random.Random(43)
-    for i in range(20):
-        t = random_tree(rng.randint(2, 12), 950 + i)
-        keep = frozenset(rng.sample(t.vertices, rng.randint(0, 2)))
-        offered, chosen, eliminated = [], [], []
-
-        def choose(candidates):
-            offered.append(candidates)
-            chosen.append(rng.choice(candidates))
-            return chosen[-1]
-
-        _labelled(t).contract(keep, _recording_fold(eliminated), choose)
-        assert eliminated == chosen
-        remaining = set(t.vertices)
-        for candidates, u in zip(offered, chosen):
-            pendants = t.induced(remaining).pendant_vertices()
-            assert candidates == [v for v in pendants if v not in keep]
-            remaining.discard(u)
-        left = t.induced(remaining).pendant_vertices() if len(remaining) > 1 else []
-        assert not [v for v in left if v not in keep]
 
 
 def test_contract_leaves_input_unchanged():
