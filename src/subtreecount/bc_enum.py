@@ -41,6 +41,7 @@ class ParityDegreeVector:
     """Odd/even pair of degree-indexed rooted generating function vectors."""
 
     __slots__ = ("odd", "even")
+    family = "bc"
 
     def __init__(self, odd: Sequence[BiPoly], even: Sequence[BiPoly]):
         self.odd = tuple(odd)
@@ -117,7 +118,7 @@ def rooted_parity_vectors(
     vertex, which is that vertex's downward pair: the vectors of its
     branch (what it cuts off from ``root``), rooted at it.
     """
-    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    wt = as_weighted(t, k, ParityDegreeVector)
     check_anchors(wt.tree, (root,))
 
     def fold(parent: ParityDegreeVector, leaf: ParityDegreeVector, edge_weight: BiPoly):
@@ -151,7 +152,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     index 0 would count the bare vertices they start with; those terms
     are taken off again (they are zero for the standard vectors).
     """
-    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    wt = as_weighted(t, k, ParityDegreeVector)
     total = _RunningSum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.vertices[0], finished=lambda vec: total.add(_topped_at(vec, k))
@@ -169,7 +170,7 @@ def count_bc_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     counts on its own.  An isolated v counts nothing (no BC-subtree has
     fewer than three vertices).
     """
-    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    wt = as_weighted(t, k, ParityDegreeVector)
     vec = rooted_parity_vectors(wt, k, v)
     return _topped_at(vec, k) - _topped_at(wt.vector(v), k)
 
@@ -180,34 +181,24 @@ def count_bc_containing_pair(
     """Generating function of BC-subtrees containing both vi and vj.
 
     After contraction only the vi..vj path remains, and any counted
-    subtree contains it.  Walking the path alternates parity classes, so
-    the product alternates between each interior vertex's odd and even
-    sums; the two additive terms correspond to the two ways the parity
-    classes can fall on the path, and the endpoint factors pair up by the
-    path length's parity.
+    subtree contains it.  Path vertices alternate between the class that
+    holds the leaves (even sums) and the other class (odd sums).  The walk
+    from vj back to vi carries both cases for the vertex it has reached,
+    and each step joins the next vertex, in the other class, through the
+    edge between them.  Interior vertices spend two degree units on the
+    path, the endpoints one; an endpoint outside the leaves' class is no
+    leaf, so its odd sum starts at index 1.
     """
-    wt = as_weighted(t, k, ParityDegreeVector, min_k=2)
+    wt = as_weighted(t, k, ParityDegreeVector)
     path = wt.tree.path_between(vi, vj)
     vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_bc, k=k))
-    length = len(path) - 1
-
-    # Interior product, pattern A: odd positions take even sums.
-    # Pattern B is the complement.  Position parity is the distance from vi.
-    prod_a = prod_b = ONE
-    for pos, u in enumerate(path[1:-1], start=1):
-        sums = (vectors[u].odd_sum(0, k - 2), vectors[u].even_sum(0, k - 2))
-        prod_a = prod_a * sums[pos % 2]
-        prod_b = prod_b * sums[1 - pos % 2]
-
-    oi, ei = vectors[vi].odd_sum(1, k - 1), vectors[vi].even_sum(0, k - 1)
-    oj, ej = vectors[vj].odd_sum(1, k - 1), vectors[vj].even_sum(0, k - 1)
-    if length % 2 == 0:
-        total = oi * oj * prod_a + ei * ej * prod_b
-    else:
-        total = oi * ej * prod_a + ei * oj * prod_b
-    for a, b in zip(path, path[1:]):
-        total = total * wt.edge_weight(a, b)
-    return total
+    odd, even = vectors[vj].odd_sum(1, k - 1), vectors[vj].even_sum(0, k - 1)
+    for u, nxt in zip(path[-2:0:-1], path[:1:-1]):
+        w = wt.edge_weight(u, nxt)
+        vec = vectors[u]
+        odd, even = vec.odd_sum(0, k - 2) * w * even, vec.even_sum(0, k - 2) * w * odd
+    total = vectors[vi].odd_sum(1, k - 1) * even + vectors[vi].even_sum(0, k - 1) * odd
+    return wt.edge_weight(vi, path[1]) * total
 
 
 def count_bc_exact_degree(
@@ -215,7 +206,7 @@ def count_bc_exact_degree(
 ) -> BiPoly:
     """BC-subtrees of maximum degree exactly k: cap-k minus cap-(k-1).
 
-    Needs k >= 3, one above the least BC cap.
+    Needs k one above the least BC cap, ``LEAST_K["bc"]`` in tree.py.
     """
     modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
-    return exact_degree(modes, t, k, anchors, ParityDegreeVector, 2)
+    return exact_degree(modes, t, k, anchors, ParityDegreeVector)

@@ -14,9 +14,10 @@ path is given.  Counting commands print a plain decimal count; with
 or the JSON term list with ``--json``).  Weights are fixed to the standard
 initialization here; callers needing custom weights use the library API.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad tree, unknown
-vertex, k below the operation's minimum, oracle input too large) or a
-count that ran out of memory or stack.
+Exit codes: 0 success, 1 usage error (including flag values the library
+rejects as an InvalidArgument), 2 data error (unreadable or bad tree,
+unknown vertex, k below the operation's minimum, oracle input too large)
+or a count that ran out of memory or stack.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from typing import Sequence
 
 from . import bc_enum, oracle, subtree_enum
 from .bipoly import BiPoly
-from .errors import SubtreeCountError
+from .errors import InvalidArgument, ParseError, SubtreeCountError
 from .experiments import emit_csv, ratio_sweep
-from .tree import Tree, parse_edge_list, random_tree, render_edge_list, require_k
+from .tree import (
+    LEAST_K, Tree, least_k, parse_edge_list, random_tree, render_edge_list, require_int
+)
 
 
 class _UsageError(Exception):
@@ -83,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = add_counting("oracle", "brute-force reference counts (small trees)")
     p_oracle.add_argument(
         "--family",
-        choices=("subtree", "bc"),
+        choices=tuple(LEAST_K),
         default="subtree",
         help="which family to count (default: subtree)",
     )
@@ -98,18 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--kmax", type=int, required=True, help="largest cap swept")
     p_ratio.add_argument("--seed", type=int, required=True, help="master seed")
     p_ratio.add_argument(
-        "--family", choices=("subtree", "bc"), default="subtree", help="count family"
+        "--family", choices=tuple(LEAST_K), default="subtree", help="count family"
     )
     p_ratio.add_argument("--out", required=True, help="CSV output path")
     return parser
 
 
 def _load_tree(args) -> Tree:
-    if args.tree is not None:
-        with open(args.tree, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.tree is not None:
+            with open(args.tree, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
     return parse_edge_list(text)
 
 
@@ -128,7 +134,7 @@ def _count_poly(args, t: Tree) -> BiPoly:
     if args.command == "oracle":
         if not args.exact_degree:
             return oracle.oracle_count(t, k, args.family, anchors)
-        require_k(k, 3 if args.family == "bc" else 1)
+        require_int(k, least_k(args.family) + 1)
         high = oracle.oracle_count(t, k, args.family, anchors)
         return high - oracle.oracle_count(t, k - 1, args.family, anchors)
     if args.command == "subtrees":
@@ -152,18 +158,11 @@ def _count_poly(args, t: Tree) -> BiPoly:
 
 def _run(args) -> int:
     if args.command == "random-tree":
-        if args.n < 1:
-            raise _UsageError("--n must be >= 1")
         sys.stdout.write(render_edge_list(random_tree(args.n, args.seed)))
         return 0
     if args.command == "ratio":
-        floor = 3 if args.family == "bc" else 2
-        if args.n < floor:
-            raise _UsageError(f"--n must be >= {floor} for family {args.family}")
         if args.samples < 1:
             raise _UsageError("--samples must be >= 1")
-        if not 1 <= args.kmax <= args.n - 1:
-            raise _UsageError(f"--kmax must lie in 1..{args.n - 1}")
         records = ratio_sweep(args.n, args.samples, args.kmax, args.seed, args.family)
         emit_csv(records, args.out)
         return 0
@@ -185,7 +184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidArgument) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -27,9 +27,7 @@ from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
-from .tree import Tree, WeightedTree, random_tree
-
-FAMILIES = ("subtree", "bc")
+from .tree import Tree, WeightedTree, least_k, random_tree, require_int
 
 
 @dataclass(frozen=True)
@@ -64,16 +62,12 @@ def ratio_sweep(
     Per-sample generator seeds are drawn from one master generator, so a
     given (n, samples, seed, family) call replays exactly.
     """
-    if family not in FAMILIES:
-        raise InvalidArgument(f"family must be one of {FAMILIES}, got {family!r}")
-    min_n = 3 if family == "bc" else 2
-    if n < min_n:
-        raise InvalidArgument(f"family {family!r} needs n >= {min_n}, got {n}")
-    if samples < 0:
-        raise InvalidArgument(f"samples must be >= 0, got {samples}")
-    if not 1 <= k_max <= n - 1:
+    k_lo = max(least_k(family), 1)
+    require_int(n, k_lo + 1, "n")
+    require_int(samples, 0, "samples")
+    require_int(k_max, 1, "k_max")
+    if k_max > n - 1:
         raise InvalidArgument(f"k_max must lie in 1..{n - 1}, got {k_max}")
-    k_lo = 2 if family == "bc" else 1
     master = random.Random(seed)
     tree_seeds = [master.getrandbits(63) for _ in range(samples)]
     records = []

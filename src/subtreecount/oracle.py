@@ -2,8 +2,9 @@
 
 Everything here works straight from the defining weight products over an
 explicit enumeration of all connected subtrees, with no shortcuts shared
-with the contraction algorithms.  It is deliberately slow and obviously
-correct; inputs are capped at a small vertex count.
+with the contraction algorithms; only the argument checks of tree.py are
+shared.  It is deliberately slow and obviously correct; inputs are capped
+at a small vertex count.
 
 Weight conventions (defaults, overridable per call):
 
@@ -26,15 +27,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import (
-    InvalidArgument,
-    KTooSmall,
-    SameVertex,
-    TooLarge,
-    TooManyAnchors,
-    UnknownVertex,
-)
-from .tree import Tree, edge_key
+from .errors import InvalidArgument, TooLarge, UnknownVertex
+from .tree import Tree, check_anchors, edge_key, least_k, require_int
 
 #: Default cap for oracle inputs; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -281,18 +275,6 @@ def rooted_parity_weight(
     return root_factor * _rooted_parity_base(w, root, k, parity, vertex_weights, edge_weights)
 
 
-def _check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:
-    anchors = tuple(anchors)
-    if len(anchors) > 2:
-        raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
-    for a in anchors:
-        if a not in t:
-            raise UnknownVertex(f"no vertex {a!r}")
-    if len(anchors) == 2 and anchors[0] == anchors[1]:
-        raise SameVertex(f"anchors must be distinct, got {anchors[0]!r} twice")
-    return anchors
-
-
 def _family_weight(w: SubtreeWitness, k: int, family: str, vw=None, ew=None) -> BiPoly:
     # The BC sum ranges over the BC family only; with default weights the
     # weight of a non-BC witness vanishes anyway, but general weights need
@@ -327,15 +309,10 @@ def oracle_count(
     max_vertices: int = ORACLE_MAX_VERTICES,
 ) -> BiPoly:
     """Sum of definitional weights over all witnesses containing the anchors."""
-    if family not in ("subtree", "bc"):
-        raise InvalidArgument(f"family must be 'subtree' or 'bc', got {family!r}")
     if len(t.vertices) > max_vertices:
         raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {max_vertices}")
-    if family == "bc" and k < 2:
-        raise KTooSmall(f"BC counting needs k >= 2, got {k}")
-    if family == "subtree" and k < 0:
-        raise KTooSmall(f"k must be >= 0, got {k}")
-    anchors = _check_anchors(t, anchors)
+    require_int(k, least_k(family))
+    anchors = check_anchors(t, anchors)
     need = set(anchors)
     if vertex_weights is None and edge_weights is None:
         pairs = _default_weights_by_witness(t, k, family)
@@ -360,10 +337,8 @@ def rooted_parity_sums(
     containing ``root``: one odd and one even vector, indexed by root degree."""
     if len(t.vertices) > max_vertices:
         raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {max_vertices}")
-    if k < 2:
-        raise KTooSmall(f"parity-rooted counting needs k >= 2, got {k}")
-    if root not in t:
-        raise UnknownVertex(f"no vertex {root!r}")
+    require_int(k, least_k("bc"))
+    check_anchors(t, (root,))
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)
     for w in enumerate_connected_subtrees(t):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .bipoly import BiPoly, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
-from .tree import Tree, WeightedTree, as_weighted, check_anchors
+from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
 
 
 def range_sum(entries: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
@@ -60,28 +60,25 @@ def exact_degree(
     k: int,
     anchors: Sequence[str],
     vector_type,
-    minimum: int,
 ) -> BiPoly:
     """Maximum degree exactly k: the cap-k count minus the cap-(k-1) count.
 
-    ``modes`` are the family's counts with zero, one and two anchors, and
-    ``minimum`` its least k (a pair also needs k >= 1).  A lower cap below
-    the mode's minimum counts nothing.  The difference is never negative:
+    ``modes`` are the family's counts with zero, one and two anchors; the
+    cap k-1 must be one they support.  The difference is never negative:
     whatever cap k-1 counts, cap k counts too.
     """
-    wt = as_weighted(t, k, vector_type, min_k=minimum + 1)
+    require_int(k, least_k(vector_type.family) + 1)
+    wt = as_weighted(t, k, vector_type)
     anchors = check_anchors(wt.tree, anchors)
     count = modes[len(anchors)]
-    high = count(wt, k, *anchors)
-    if k - 1 < max(minimum, len(anchors) - 1):
-        return high
-    return high - count(wt.truncated(), k - 1, *anchors)
+    return count(wt, k, *anchors) - count(wt.truncated(), k - 1, *anchors)
 
 
 class DegreeVector:
     """Per-vertex weight vector, index i = rooted subtrees with root degree i."""
 
     __slots__ = ("entries",)
+    family = "subtree"
 
     def __init__(self, entries: Sequence[BiPoly]):
         self.entries = tuple(entries)
@@ -129,7 +126,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     Each term y^a z^b counts subtrees with a vertices and b edges (under
     the default weights); evaluate at y = z = 1 for the plain count.
     """
-    wt = as_weighted(t, k, DegreeVector, min_k=0)
+    wt = as_weighted(t, k, DegreeVector)
     total = _RunningSum()
 
     def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
@@ -143,7 +140,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
 
 def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
-    wt = as_weighted(t, k, DegreeVector, min_k=0)
+    wt = as_weighted(t, k, DegreeVector)
     check_anchors(wt.tree, (v,))
     vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k))
     return vectors[v].sum_range(0, k)
@@ -158,7 +155,7 @@ def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> B
     one degree unit on the path (entries up to k-1), interior vertices
     spend two (entries up to k-2).
     """
-    wt = as_weighted(t, k, DegreeVector, min_k=1)
+    wt = as_weighted(t, k, DegreeVector)
     path = wt.tree.path_between(vi, vj)
     vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k))
     acc = vectors[vi].sum_range(0, k - 1) * vectors[vj].sum_range(0, k - 1)
@@ -175,7 +172,8 @@ def count_exact_degree(
     """Subtrees of maximum degree exactly k: the cap-k count minus cap-(k-1).
 
     ``anchors`` selects the mode: none for all subtrees, one vertex, or a
-    pair of vertices.  Needs k >= 1.
+    pair of vertices.  Needs k one above the least subtree cap,
+    ``LEAST_K["subtree"]`` in tree.py.
     """
     modes = (count_all, count_containing, count_containing_pair)
-    return exact_degree(modes, t, k, anchors, DegreeVector, 0)
+    return exact_degree(modes, t, k, anchors, DegreeVector)

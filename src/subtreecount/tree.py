@@ -193,8 +193,7 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     The classic decode: repeatedly join the smallest remaining leaf to the
     next sequence entry, then join the final two leaves.
     """
-    if n < 2:
-        raise InvalidArgument("decoding needs n >= 2")
+    require_int(n, 2, "n")
     if len(seq) != n - 2:
         raise InvalidArgument(f"sequence length must be n-2, got {len(seq)}")
     degree = [1] * n
@@ -220,8 +219,7 @@ def random_tree(n: int, seed: int) -> Tree:
     it.  The generator is Python's Mersenne Twister seeded with ``seed``,
     so identical (n, seed) pairs replay identical trees.
     """
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    require_int(n, 1, "n")
     labels = [f"v{i}" for i in range(1, n + 1)]
     if n == 1:
         return Tree(labels, [])
@@ -309,16 +307,35 @@ class WeightedTree:
         return f"WeightedTree({self.tree!r})"
 
 
-def require_k(k: int, minimum: int) -> None:
-    if k < minimum:
-        raise KTooSmall(f"this operation needs k >= {minimum}, got {k}")
+#: Each counting family's least degree cap, in every mode: a subtree may be
+#: a bare vertex, a BC-subtree has a vertex of degree 2.  Counts of maximum
+#: degree exactly k also count cap k-1, so they need one more.
+LEAST_K = {"subtree": 0, "bc": 2}
 
 
-def as_weighted(t: Tree | WeightedTree, k: int, vector_type, min_k: int) -> WeightedTree:
+def least_k(family: str) -> int:
+    """The least degree cap of ``family``, once it is known to be a family."""
+    if family not in LEAST_K:
+        raise InvalidArgument(f"family must be one of {tuple(LEAST_K)}, got {family!r}")
+    return LEAST_K[family]
+
+
+def require_int(value: int, minimum: int, name: str = "k") -> None:
+    """Check that ``value`` is an int of at least ``minimum``.  A k below
+    its minimum raises KTooSmall; every other failure, InvalidArgument."""
+    if not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        error = KTooSmall if name == "k" else InvalidArgument
+        raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
     """``t`` with ``vector_type.initial(k)`` at every vertex, or, for a
     WeightedTree, ``t`` itself once every vector is checked to be a
-    ``vector_type`` of length k+1; either way, once k >= min_k is checked."""
-    require_k(k, min_k)
+    ``vector_type`` of length k+1; either way, once k is checked against
+    the least cap of the vector type's family."""
+    require_int(k, least_k(vector_type.family))
     if isinstance(t, WeightedTree):
         for v in t.tree.vertices:
             vec = t.vector(v)
@@ -333,6 +350,8 @@ def as_weighted(t: Tree | WeightedTree, k: int, vector_type, min_k: int) -> Weig
 def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:
     """``anchors`` as a tuple, once it is known to hold at most two vertices
     of ``t``, and two distinct ones if two."""
+    if isinstance(anchors, str):
+        raise InvalidArgument(f"anchors must be a sequence of labels, got {anchors!r}")
     anchors = tuple(anchors)
     if len(anchors) > 2:
         raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")

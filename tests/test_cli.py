@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,20 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     big.write_text("".join(f"{u} {v}\n" for u, v in random_tree(16, 0).edges))
     assert run(capsys, "oracle", "--k", "2", str(big))[0] == 2
     assert run(capsys, "subtrees", "--k", "2", str(tmp_path / "missing.txt"))[0] == 2
+
+
+def test_non_utf8_input_is_a_data_error(tmp_path):
+    # Run as a process, so an uncaught exception would show its traceback.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\n\xff c\n")
+    src = str(Path(sc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "subtreecount.cli", "subtrees", "--k", "2", str(bad)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])

@@ -113,8 +113,8 @@ def test_count_containing_pair(path3, double_spider):
     assert pair.eval_counts() == 165
     with pytest.raises(SameVertex):
         count_containing_pair(path3, 2, "a", "a")
-    with pytest.raises(KTooSmall):
-        count_containing_pair(path3, 0, "a", "c")
+    at_zero = count_containing_pair(path3, 0, "a", "c")
+    assert at_zero == oracle_count(path3, 0, "subtree", ("a", "c")) == ZERO
 
 
 def test_count_exact_degree(path3, star3):
