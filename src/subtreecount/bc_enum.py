@@ -116,17 +116,22 @@ def rooted_parity_vectors(
     root with root degree exactly j and all leaves at odd (even) distance.
     ``finished``, if given, sees the final vector pair of every eliminated
     vertex, which is that vertex's downward pair: the vectors of its
-    branch (what it cuts off from ``root``), rooted at it.
+    branch (what it cuts off from ``root``), rooted at it.  On a plain
+    Tree the contraction runs at the cap that can bind (see
+    ``tree.as_weighted``), so those pairs may be shorter than k+1; the
+    result is padded with zeros to length k+1.
     """
-    wt = as_weighted(t, k, ParityDegreeVector)
+    wt, cap = as_weighted(t, k, ParityDegreeVector)
     check_anchors(wt.tree, (root,))
 
     def fold(parent: ParityDegreeVector, leaf: ParityDegreeVector, edge_weight: BiPoly):
         if finished is not None:
             finished(leaf)
-        return leaf_update_bc(parent, leaf, edge_weight, k)
+        return leaf_update_bc(parent, leaf, edge_weight, cap)
 
-    return wt.contract(frozenset([root]), fold)[root]
+    vec = wt.contract(frozenset([root]), fold)[root]
+    pad = (ZERO,) * (k - cap)
+    return ParityDegreeVector(vec.odd + pad, vec.even + pad) if pad else vec
 
 
 def _topped_at(vec: ParityDegreeVector, k: int) -> BiPoly:
@@ -152,7 +157,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     index 0 would count the bare vertices they start with; those terms
     are taken off again (they are zero for the standard vectors).
     """
-    wt = as_weighted(t, k, ParityDegreeVector)
+    wt, k = as_weighted(t, k, ParityDegreeVector)
     total = _RunningSum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.vertices[0], finished=lambda vec: total.add(_topped_at(vec, k))
@@ -170,7 +175,7 @@ def count_bc_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     counts on its own.  An isolated v counts nothing (no BC-subtree has
     fewer than three vertices).
     """
-    wt = as_weighted(t, k, ParityDegreeVector)
+    wt, k = as_weighted(t, k, ParityDegreeVector)
     vec = rooted_parity_vectors(wt, k, v)
     return _topped_at(vec, k) - _topped_at(wt.vector(v), k)
 
@@ -189,7 +194,7 @@ def count_bc_containing_pair(
     path, the endpoints one; an endpoint outside the leaves' class is no
     leaf, so its odd sum starts at index 1.
     """
-    wt = as_weighted(t, k, ParityDegreeVector)
+    wt, k = as_weighted(t, k, ParityDegreeVector)
     path = wt.tree.path_between(vi, vj)
     vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_bc, k=k))
     odd, even = vectors[vj].odd_sum(1, k - 1), vectors[vj].even_sum(0, k - 1)

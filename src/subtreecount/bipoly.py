@@ -13,21 +13,22 @@ Coefficients are Python ints and therefore arbitrary precision: a star on
 Values are immutable after construction and all operations return new
 instances, so instances may be shared freely between concurrent runs.
 
-Products of small operands run a double loop over term pairs.  Large
-operands are multiplied by Kronecker substitution, so that CPython's big
-integer multiplication (Karatsuba) does the inner loop: each operand's
-terms are grouped into rows (one diagonal ``dz - dy`` each, or one ``dy``
-each, whichever gives the larger operand fewer rows; plain-subtree
-polynomials lie on one diagonal and become one row), each row is packed
-into one int with one byte-aligned slot per exponent, every pair of rows
-is multiplied, and each product is added into row ``r1 + r2`` and
-unpacked slot by slot.  The slot width is exact, not a guess:
+A product with a one-term operand shifts the other operand's exponents and
+scales its coefficients.  Other small products run a double loop over term
+pairs.  Large operands are multiplied by Kronecker substitution, so that
+CPython's big integer multiplication (Karatsuba) does the inner loop: each
+operand's terms are grouped into rows (one diagonal ``dz - dy`` each, or
+one ``dy`` each, whichever gives the larger operand fewer rows;
+plain-subtree polynomials lie on one diagonal and become one row), each
+row is packed into one int with one byte-aligned slot per exponent, every
+pair of rows is multiplied, and each product is added into row ``r1 + r2``
+and unpacked slot by slot.  The slot width is exact, not a guess:
 coefficients are never negative, so every coefficient of the product, and
 every partial sum of row products, is at most ``eval(a) * eval(b)`` (the
 product of the coefficient sums), and a slot of
 ``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes holds it without a
 carry into the next slot.  Which path runs depends only on the operands'
-shape (see ``_PACK_MIN_TERMS``); both give the same dict.
+shape (see ``_PACK_MIN_TERMS``); all give the same dict.
 
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
@@ -162,6 +163,11 @@ class BiPoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
+        if len(a) == 1 or len(b) == 1:  # a monomial shifts and scales the other
+            mono, other = (a, b) if len(a) == 1 else (b, a)
+            ((my, mz), mc), = mono.items()
+            shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
+            return BiPoly._raw(shifted)
         if len(a) >= _PACK_MIN_TERMS <= len(b):
             big = a if len(a) >= len(b) else b
             by_line, by_dy = _row_count(big, True), _row_count(big, False)

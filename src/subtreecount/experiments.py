@@ -2,9 +2,10 @@
 
 For each sampled random tree the sweep computes the ratio of the
 degree-capped count to the uncapped one, per cap value k.  The uncapped
-denominator is obtained by saturating the cap at n-1, where it cannot
-bind.  Ratios are exact rationals of big integers and are only rounded
-when rendered into the CSV.
+denominator is the count at the tree's maximum degree, above which no cap
+binds, so it is also the numerator of every cap at or above that.  Ratios
+are exact rationals of big integers and are only rounded when rendered
+into the CSV.
 
 Counts here do not need the full generating functions, so the sweep runs
 the counting algorithms with unit weights (vertex vectors starting at 1,
@@ -27,7 +28,7 @@ from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
-from .tree import Tree, WeightedTree, least_k, random_tree, require_int
+from .tree import Tree, WeightedTree, _binding_cap, least_k, random_tree, require_int
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ def _unit_count(t: Tree, k: int, family: str) -> int:
         vector_type, count = ParityDegreeVector, count_bc_all
     else:
         vector_type, count = DegreeVector, count_all
+    k = _binding_cap(t, k, family)
     weights = {v: vector_type.initial(k, ONE) for v in t.vertices}
     return count(WeightedTree(t, weights, {e: ONE for e in t.edges}), k).eval_counts()
 
@@ -65,17 +67,19 @@ def ratio_sweep(
     k_lo = max(least_k(family), 1)
     require_int(n, k_lo + 1, "n")
     require_int(samples, 0, "samples")
-    require_int(k_max, 1, "k_max")
+    require_int(k_max, k_lo, "k_max")
     if k_max > n - 1:
-        raise InvalidArgument(f"k_max must lie in 1..{n - 1}, got {k_max}")
+        raise InvalidArgument(f"k_max must lie in {k_lo}..{n - 1}, got {k_max}")
     master = random.Random(seed)
     tree_seeds = [master.getrandbits(63) for _ in range(samples)]
     records = []
     for sample_id, tree_seed in enumerate(tree_seeds):
         t = random_tree(n, tree_seed)
-        denominator = _unit_count(t, n - 1, family)
+        uncapped = _binding_cap(t, n - 1, family)
+        denominator = _unit_count(t, uncapped, family)
         for k in range(k_lo, k_max + 1):
-            ratio = Fraction(_unit_count(t, k, family), denominator)
+            count = denominator if k >= uncapped else _unit_count(t, k, family)
+            ratio = Fraction(count, denominator)
             records.append(RatioRecord(n=n, k=k, sample_id=sample_id, ratio=ratio))
     records.sort(key=lambda r: (r.n, r.k, r.sample_id))
     return records

@@ -65,11 +65,14 @@ def exact_degree(
 
     ``modes`` are the family's counts with zero, one and two anchors; the
     cap k-1 must be one they support.  The difference is never negative:
-    whatever cap k-1 counts, cap k counts too.
+    whatever cap k-1 counts, cap k counts too.  Above the cap that can
+    bind on a plain Tree it is zero: no subtree has that maximum degree.
     """
     require_int(k, least_k(vector_type.family) + 1)
-    wt = as_weighted(t, k, vector_type)
+    wt, cap = as_weighted(t, k, vector_type)
     anchors = check_anchors(wt.tree, anchors)
+    if cap < k:
+        return ZERO
     count = modes[len(anchors)]
     return count(wt, k, *anchors) - count(wt.truncated(), k - 1, *anchors)
 
@@ -126,7 +129,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     Each term y^a z^b counts subtrees with a vertices and b edges (under
     the default weights); evaluate at y = z = 1 for the plain count.
     """
-    wt = as_weighted(t, k, DegreeVector)
+    wt, k = as_weighted(t, k, DegreeVector)
     total = _RunningSum()
 
     def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
@@ -140,7 +143,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
 
 def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
-    wt = as_weighted(t, k, DegreeVector)
+    wt, k = as_weighted(t, k, DegreeVector)
     check_anchors(wt.tree, (v,))
     vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k))
     return vectors[v].sum_range(0, k)
@@ -155,7 +158,7 @@ def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> B
     one degree unit on the path (entries up to k-1), interior vertices
     spend two (entries up to k-2).
     """
-    wt = as_weighted(t, k, DegreeVector)
+    wt, k = as_weighted(t, k, DegreeVector)
     path = wt.tree.path_between(vi, vj)
     vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k))
     acc = vectors[vi].sum_range(0, k - 1) * vectors[vj].sum_range(0, k - 1)

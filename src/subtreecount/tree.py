@@ -330,11 +330,18 @@ def require_int(value: int, minimum: int, name: str = "k") -> None:
         raise error(f"{name} must be >= {minimum}, got {value}")
 
 
-def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
-    """``t`` with ``vector_type.initial(k)`` at every vertex, or, for a
-    WeightedTree, ``t`` itself once every vector is checked to be a
-    ``vector_type`` of length k+1; either way, once k is checked against
-    the least cap of the vector type's family."""
+def _binding_cap(t: Tree, k: int, family: str) -> int:
+    """The cap at which ``family``'s counts on ``t`` equal those at cap k:
+    no cap above the maximum degree can bind, and none goes below the
+    family's least cap."""
+    return min(k, max(t.max_degree(), least_k(family)))
+
+
+def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> tuple[WeightedTree, int]:
+    """``(wt, cap)``, k checked against the family's least cap first.  For a
+    Tree, ``wt`` has ``vector_type.initial(cap)`` at every vertex, cap being
+    k clamped by ``_binding_cap``; a WeightedTree comes back as it is, with
+    cap = k, once its vectors are checked to have length k+1."""
     require_int(k, least_k(vector_type.family))
     if isinstance(t, WeightedTree):
         for v in t.tree.vertices:
@@ -343,8 +350,9 @@ def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> WeightedTree:
                 raise LengthMismatch(
                     f"vertex {v!r} needs a {vector_type.__name__} of length {k + 1}"
                 )
-        return t
-    return WeightedTree(t, {v: vector_type.initial(k) for v in t.vertices})
+        return t, k
+    cap = _binding_cap(t, k, vector_type.family)
+    return WeightedTree(t, {v: vector_type.initial(cap) for v in t.vertices}), cap
 
 
 def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:

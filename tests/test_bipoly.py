@@ -212,6 +212,17 @@ def test_packed_product_with_zero_one_and_monomials(a, m):
     assert BiPoly(a) * ZERO == ZERO and BiPoly(a) * ONE == BiPoly(a)
 
 
+monomials = st.dictionaries(exponents, coeffs, min_size=1, max_size=1)
+
+
+@given(st.one_of(operands, st.dictionaries(exponents, coeffs, max_size=8)), monomials)
+@example({(1, 0): 2**64 + 1, (0, 0): 3}, {(2, 5): 2**70 + 7})
+def test_monomial_product_matches_dict_product(a, m):
+    expected = _mul_dict(a, m)
+    assert (BiPoly(a) * BiPoly(m)).terms() == expected
+    assert (BiPoly(m) * BiPoly(a)).terms() == expected
+
+
 def _count_packed(monkeypatch):
     calls = []
 

@@ -8,7 +8,7 @@ import pytest
 
 import subtreecount as sc
 from subtreecount import BiPoly, bc_enum, parse_edge_list, random_tree, subtree_enum
-from subtreecount.cli import main
+from subtreecount.cli import build_parser, main
 from subtreecount.experiments import aggregate_path
 
 P = BiPoly.parse
@@ -159,9 +159,26 @@ def test_usage_errors_exit_1(capsys, path3_file):
     assert run(capsys, "subtrees", "--k", "2", "--contains", "a,b,c", path3_file)[0] == 1
     assert run(capsys, "ratio", "--n", "4", "--samples", "0", "--kmax", "2",
                "--seed", "1", "--out", "x.csv")[0] == 1
+    assert run(capsys, "ratio", "--n", "5", "--samples", "2", "--kmax", "1",
+               "--seed", "0", "--family", "bc", "--out", "x.csv")[0] == 1
     for n in ("0", "-3"):
         code, out, err = run(capsys, "random-tree", "--n", n, "--seed", "1")
         assert (code, out) == (1, "") and err.startswith("usage error")
+
+
+def test_calls_in_one_process_share_no_state(capsys, tmp_path, path3_file):
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "subtrees", "--k", "x", path3_file)
+    assert (code, out) == (1, "") and err.startswith("usage error")
+    assert run(capsys, "bc", "--k", "2", path3_file) == (0, "1\n", "")
+    out_file = tmp_path / "r.csv"
+    code, out, err = run(
+        capsys, "ratio", "--n", "5", "--samples", "2", "--kmax", "3",
+        "--seed", "0", "--family", "bc", "--out", str(out_file),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert len(out_file.read_text().splitlines()) == 1 + 2 * 2  # k in 2..3
+    assert run(capsys, "subtrees", "--k", "2", path3_file) == (0, "6\n", "")
 
 
 def test_data_errors_exit_2(capsys, tmp_path, path3_file):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,21 @@ def test_sweep_validation():
     with pytest.raises(ValueError) as raised:
         ratio_sweep(5, -1, 3, seed=0)
     assert isinstance(raised.value, SubtreeCountError)
+    with pytest.raises(ValueError) as raised:  # the BC sweep starts at k = 2
+        ratio_sweep(5, 3, 1, 0, "bc")
+    assert isinstance(raised.value, SubtreeCountError)
+
+
+@pytest.mark.parametrize("family", ["subtree", "bc"])
+def test_sweep_ratios_are_count_ratios(family):
+    count = count_all if family == "subtree" else count_bc_all
+    records = ratio_sweep(8, 4, 7, seed=3, family=family)
+    rng = random.Random(3)
+    trees = [random_tree(8, rng.getrandbits(63)) for _ in range(4)]
+    for rec in records:
+        t = trees[rec.sample_id]
+        expected = Fraction(count(t, rec.k).eval_counts(), count(t, 7).eval_counts())
+        assert rec.ratio == expected
 
 
 def test_emit_csv_empty(tmp_path):
