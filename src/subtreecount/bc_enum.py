@@ -151,18 +151,21 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     Each term y^a z^b counts BC-subtrees with b edges whose even parity
     class (the one holding all the leaves) has a vertices.
 
-    One contraction onto the first vertex counts every BC-subtree at its
-    top vertex, so the result is independent of the root and of the
-    elimination order.  Input vectors with entries above
-    index 0 would count the bare vertices they start with; those terms
-    are taken off again (they are zero for the standard vectors).
+    One contraction onto the tree's centroid (the cheapest root, see
+    ``WeightedTree.contract``) counts every BC-subtree at its top vertex,
+    so the result is independent of the root and of the elimination
+    order.  Custom input vectors with entries above index 0 would count
+    the bare vertices they start with; those terms are taken off again.
+    The standard vectors of a plain Tree count none, so it skips that step.
     """
     wt, k = as_weighted(t, k, ParityDegreeVector)
     total = _RunningSum()
     root = rooted_parity_vectors(
-        wt, k, wt.tree.vertices[0], finished=lambda vec: total.add(_topped_at(vec, k))
+        wt, k, wt.tree.centroid(), finished=lambda vec: total.add(_topped_at(vec, k))
     )
     total.add(_topped_at(root, k))
+    if isinstance(t, Tree):
+        return total.total()
     bare = BiPoly.sum(_topped_at(wt.vector(v), k) for v in wt.tree.vertices)
     return total.total() - bare
 

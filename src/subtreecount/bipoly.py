@@ -179,12 +179,25 @@ class BiPoly:
 
     @staticmethod
     def sum(items: Iterable["BiPoly"]) -> "BiPoly":
-        """Sum of many polynomials, accumulated in a single dict."""
-        acc: dict[tuple[int, int], int] = {}
+        """Sum of many polynomials, accumulated in a single dict.
+
+        Zero operands are skipped.  A lone non-zero operand is returned
+        itself, as ``+`` does with a zero; the dict is only built once a
+        second non-zero operand arrives.
+        """
+        first, acc = _ZERO, None
         for poly in items:
-            for key, coeff in poly._terms.items():
+            terms = poly._terms
+            if not terms:
+                continue
+            if first is _ZERO:
+                first = poly
+                continue
+            if acc is None:
+                acc = dict(first._terms)
+            for key, coeff in terms.items():
                 acc[key] = acc.get(key, 0) + coeff
-        return BiPoly._raw(acc)
+        return first if acc is None else BiPoly._raw(acc)
 
     def _sorted_keys(self) -> list[tuple[int, int]]:
         return sorted(self._terms, key=lambda key: (key[1], key[0]))

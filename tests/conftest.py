@@ -4,10 +4,13 @@ import pytest
 
 from subtreecount import (
     ZERO,
+    BiPoly,
+    DegreeVector,
     Tree,
     UnknownVertex,
     WeightedTree,
     edge_key,
+    leaf_update_subtree,
     parse_edge_list,
     random_tree,
     rooted_parity_vectors,
@@ -50,7 +53,9 @@ def relabel(t, rng):
     Contraction eliminates the smallest pendant label first, so a random
     relabelling draws a random elimination order (every order is reached:
     label the vertices in the wanted order).  The vertex list is shuffled
-    too, which moves the first vertex, the root of ``count_bc_all``.
+    too, which moves the first vertex, where the centroid walk starts.
+    The counts always keep a centroid, so other survivors are reached
+    through ``count_all_kept_at`` and ``bc_all_rooted_at``.
     """
     order = list(t.vertices)
     rng.shuffle(order)
@@ -71,6 +76,37 @@ def elimination_order(t, keep=()):
 
     WeightedTree(t, {v: v for v in t.vertices}).contract(frozenset(keep), fold)
     return eliminated
+
+
+def count_all_kept_at(t, k, r):
+    """``count_all(t, k)`` from one contraction of a plain Tree onto ``r``.
+
+    ``count_all`` always keeps a centroid; this keeps any vertex.  Every
+    subtree is counted once, at the first of its vertices to be folded
+    (or at r), from that vertex's final vector.
+    """
+    parts = []
+
+    def fold(parent, leaf, edge_weight):
+        parts.append(leaf.sum_range(0, k))
+        return leaf_update_subtree(parent, leaf, edge_weight, k)
+
+    wt = WeightedTree(t, {v: DegreeVector.initial(k) for v in t.vertices})
+    parts.append(wt.contract(frozenset([r]), fold)[r].sum_range(0, k))
+    return BiPoly.sum(parts)
+
+
+def bc_all_rooted_at(t, k, r):
+    """``count_bc_all(t, k)`` from one contraction of a plain Tree onto ``r``.
+
+    ``count_bc_all`` always roots at a centroid; this roots anywhere.  Each
+    BC-subtree is counted at its top vertex, the one nearest r: a top of
+    degree 2 and up may have its leaves at odd or even distance, a top of
+    degree 1 is itself a leaf, so the others sit at even distance.
+    """
+    pairs = []
+    pairs.append(rooted_parity_vectors(t, k, r, finished=pairs.append))
+    return BiPoly.sum(vec.odd_sum(2, k) + vec.even_sum(1, k) for vec in pairs)
 
 
 def split_bc_count(wt, k, v=None):
@@ -137,6 +173,55 @@ def _capped_subtrees_by_size(t, k):
         for s in range(n):
             totals[s + 1] += sum(taken[j][s] for j in range(k + 1))
     return {a: c for a, c in enumerate(totals) if c}
+
+
+def bc_subtrees_at(t, k, y, z, root=None):
+    """Independent count: BC-subtrees of ``t`` with maximum degree <= k, at
+    the integer point (y, z); with ``root``, only those containing it.
+
+    Leaf distances in a tree are even exactly when the leaves share a
+    colour of its 2-colouring, so a subtree of two or more vertices is a
+    BC-subtree exactly when all its leaves have one colour c.  For each c,
+    a plain-int DP over (vertex, children taken) counts those subtrees at
+    their top vertex, with y marking the colour-c vertices and z the
+    edges.  ``down[v]`` is the weight of the subtrees topped at v that
+    continue to v's parent: v takes up to k - 1 children, and if it takes
+    none it is a leaf, so it needs colour c.  A subtree topped at v takes
+    up to k children: one makes v a leaf (colour c only), none is the bare
+    vertex, which never counts.  No ``BiPoly`` and no library counting code.
+    """
+    adj = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    top = t.vertices[0] if root is None else root
+    parent, order, colour = {top: None}, [top], {top: 0}
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w], colour[w] = v, 1 - colour[v]
+                order.append(w)
+    total = 0
+    for c in (0, 1):
+        down = {}
+        for v in reversed(order):
+            taken = [1] + [0] * k  # taken[j]: weight of j children's branches
+            for child in adj[v]:
+                if child != parent[v]:
+                    branch = z * down[child]
+                    for j in range(k, 0, -1):
+                        taken[j] += taken[j - 1] * branch
+            leaf_ok = colour[v] == c
+            weight = y if leaf_ok else 1
+            down[v] = weight * (leaf_ok * taken[0] + sum(taken[1:k]))
+            if root is None or v == root:
+                total += weight * (leaf_ok * taken[1] + sum(taken[2:]))
+    return total
+
+
+def evaluate(poly, y, z):
+    """``poly`` at the integer point (y, z)."""
+    return sum(c * y**a * z**b for (a, b), c in poly.terms().items())
 
 
 def seeded_ensemble(per_size=25, sizes=range(2, 10)):

@@ -31,6 +31,8 @@ from subtreecount import (
 
 from conftest import (
     _capped_subtrees_by_size,
+    bc_all_rooted_at,
+    count_all_kept_at,
     elimination_order,
     fold_pendant,
     relabel,
@@ -151,6 +153,7 @@ def test_criterion_5_invariance_suites():
     draws = reordered = 0
     for t, k in zip(trees, caps, strict=True):
         reference = count_all(t, k)
+        ok = ok and all(count_all_kept_at(t, k, r) == reference for r in t.vertices)
         default = elimination_order(t)
         for _ in range(20):
             relabelled, back = relabel(t, rng)
@@ -160,6 +163,8 @@ def test_criterion_5_invariance_suites():
     ok = ok and reordered > draws / 2
 
     # root invariance: every vertex as the root of the BC contraction
+    # (count_bc_all roots at a centroid; reordering the vertex list moves
+    # only the start of the centroid walk)
     for t in (x for x in seeded_ensemble(per_size=6, sizes=range(3, 10))):
         n = len(t.vertices)
         for k in {2, n - 1}:
@@ -169,6 +174,7 @@ def test_criterion_5_invariance_suites():
             for r in t.vertices:
                 others = [v for v in t.vertices if v != r]
                 ok = ok and count_bc_all(Tree([r, *others], t.edges), k) == reference
+                ok = ok and bc_all_rooted_at(t, k, r) == reference
 
     # one-step conservation: eliminated weight plus the contracted tree's
     # count reproduces the total at every step

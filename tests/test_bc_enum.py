@@ -28,7 +28,15 @@ from subtreecount import (
     rooted_parity_vectors,
 )
 
-from conftest import elimination_order, fold_pendant, relabel, split_bc_count
+from conftest import (
+    bc_all_rooted_at,
+    bc_subtrees_at,
+    elimination_order,
+    evaluate,
+    fold_pendant,
+    relabel,
+    split_bc_count,
+)
 
 P = BiPoly.parse
 
@@ -134,6 +142,7 @@ def test_root_and_order_invariance():
         for r in t.vertices:
             others = [v for v in t.vertices if v != r]
             assert count_bc_all(Tree([r, *others], t.edges), k) == reference
+            assert bc_all_rooted_at(t, k, r) == reference  # every root, not just a centroid
         default = elimination_order(t, [t.vertices[0]])
         for _ in range(3):
             relabelled, back = relabel(t, rng)
@@ -180,6 +189,44 @@ def test_custom_weights_match_the_split_recursion():
             for v in t.vertices:
                 assert count_bc_containing(wt, k, v) == split_bc_count(wt, k, v)
     assert nonzero > 30
+
+
+def _spine_tree(n, legs_seed=None):
+    """A path of n vertices, or with ``legs_seed`` a caterpillar of n vertices
+    (spine n // 2, each other vertex on a random spine vertex), labelled in
+    order along the spine."""
+    spine = n if legs_seed is None else n // 2
+    labels = [f"s{i:04d}" for i in range(n)]
+    edges = [(labels[i], labels[i + 1]) for i in range(spine - 1)]
+    rng = random.Random(legs_seed)
+    edges += [(labels[rng.randrange(spine)], labels[i]) for i in range(spine, n)]
+    return Tree(labels, edges)
+
+
+def test_bc_counts_match_the_colour_class_dp():
+    # Past the oracle's 14 vertices, the only other check of a BC count is
+    # the leaf-deletion recurrence, which runs the library against itself.
+    # The colour-class DP shares no code with it.
+    rng = random.Random(1414)
+    trees = [random_tree(n, 5100 + n) for n in (15, 40, 90, 200)]
+    trees += [_spine_tree(n) for n in (17, 64, 200)]
+    trees += [_spine_tree(n, 5200 + n) for n in (20, 80, 200)]
+    largest = 0
+    for t in trees:
+        v = rng.choice(t.vertices)
+        for k in (2, 3, 5):
+            every = count_bc_all(t, k)
+            largest = max(largest, every.eval_counts())
+            containing = count_bc_containing(t, k, v)
+            exact = count_bc_exact_degree(t, k) if k > 2 else None
+            for y, z in ((1, 1), (2, 3)):
+                assert evaluate(every, y, z) == bc_subtrees_at(t, k, y, z)
+                assert evaluate(containing, y, z) == bc_subtrees_at(t, k, y, z, v)
+                if exact is not None:
+                    assert evaluate(exact, y, z) == (
+                        bc_subtrees_at(t, k, y, z) - bc_subtrees_at(t, k - 1, y, z)
+                    ), (len(t.vertices), k)
+    assert largest > 2**64
 
 
 def test_bc_counts_take_one_contraction(monkeypatch):

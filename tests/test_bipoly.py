@@ -18,6 +18,7 @@ from subtreecount import (
     count_all,
     count_bc_all,
     random_tree,
+    ratio_sweep,
 )
 from subtreecount.bipoly import _mul_dict, _mul_packed
 
@@ -171,6 +172,42 @@ def test_text_round_trip(a):
 @given(polys)
 def test_json_round_trip(a):
     assert BiPoly.from_json(a.to_json()) == a
+
+
+@st.composite
+def sum_operands(draw):
+    """Zeros, shared and fresh, around no, one or several non-zero polys."""
+    items = draw(st.lists(st.sampled_from([ZERO, BiPoly(), BiPoly({(1, 1): 0})]), max_size=4))
+    for poly in draw(st.lists(polys.filter(bool), max_size=draw(st.sampled_from([1, 5])))):
+        items.insert(draw(st.integers(0, len(items))), poly)
+    return items
+
+
+@given(sum_operands())
+@example([])
+@example([BiPoly(), P("2*y*z"), ZERO])
+def test_sum_shares_a_lone_operand(items):
+    before = [poly.terms() for poly in items]
+    total = BiPoly.sum(iter(items))
+    folded = ZERO
+    for poly in items:
+        folded = folded + poly
+    assert total == folded
+    nonzero = [poly for poly in items if poly]
+    if len(nonzero) <= 1:
+        assert total is (nonzero[0] if nonzero else ZERO)
+    assert BiPoly.sum([total, *items, total]) == folded + folded + folded
+    assert [poly.terms() for poly in items] == before
+
+
+def test_shared_constants_survive_counts():
+    t = random_tree(12, 5)
+    count_all(t, 3)
+    count_bc_all(t, 3)
+    ratio_sweep(8, 2, 4, 0, "bc")
+    assert (ZERO.terms(), ONE.terms(), Y.terms(), Z.terms()) == (
+        {}, {(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}
+    )
 
 
 # Operands for the packed product: at least _PACK_MIN_TERMS terms, so

@@ -30,7 +30,13 @@ from subtreecount import (
     random_tree,
 )
 
-from conftest import elimination_order, fold_pendant, relabel, seeded_ensemble
+from conftest import (
+    count_all_kept_at,
+    elimination_order,
+    fold_pendant,
+    relabel,
+    seeded_ensemble,
+)
 
 P = BiPoly.parse
 
@@ -149,6 +155,8 @@ def test_order_invariance():
     for i, (n, k) in enumerate(cases):
         t = random_tree(n, 800 + i)
         reference = count_all(t, k)
+        for r in t.vertices:  # every survivor, not just a centroid
+            assert count_all_kept_at(t, k, r) == reference
         default = elimination_order(t)
         for _ in range(4):
             relabelled, back = relabel(t, rng)

@@ -201,6 +201,48 @@ def test_contract_with_empty_keep_folds_n_minus_1_times():
         assert set(eliminated) | set(survivors) == set(random_tree(n, seed).vertices)
 
 
+def _centroid_cases():
+    """Random trees, paths, stars and brooms (a path with a star at one end),
+    each with vertices in two orders, so the walk starts at either end."""
+    trees = [random_tree(n, 3000 + n) for n in range(1, 41)]
+    for n in (2, 3, 4, 7, 10, 31):
+        trees.append(Tree([f"p{i:02d}" for i in range(n)],
+                          [(f"p{i:02d}", f"p{i + 1:02d}") for i in range(n - 1)]))
+        trees.append(Tree(["c"] + [f"l{i}" for i in range(n - 1)],
+                          [("c", f"l{i}") for i in range(n - 1)]))
+        for handle in (1, n // 2, n - 2):
+            spokes = n - 1 - handle
+            edges = [(f"h{i}", f"h{i + 1}") for i in range(handle)]
+            edges += [(f"h{handle}", f"b{i}") for i in range(spokes)]
+            trees.append(Tree([f"h{i}" for i in range(handle + 1)]
+                              + [f"b{i}" for i in range(spokes)], edges))
+    return trees + [Tree(t.vertices[::-1], t.edges) for t in trees]
+
+
+def test_centroid_splits_the_tree_into_halves():
+    for t in _centroid_cases():
+        c, n = t.centroid(), len(t.vertices)
+        assert c in t
+        for start in t.neighbors(c):  # the component c's removal leaves here
+            seen, stack = {c, start}, [start]
+            while stack:
+                for w in t.neighbors(stack.pop()):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            assert 2 * (len(seen) - 1) <= n, (t.edges, c)
+        assert t.centroid() is c
+
+
+def test_contract_with_empty_keep_keeps_the_centroid():
+    for t in _centroid_cases():
+        survivors = _labelled(t).contract(frozenset(), _recording_fold([]))
+        assert list(survivors) == [t.centroid()]
+    path = Tree([f"p{i:04d}" for i in range(1000)],
+                [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(999)])
+    assert path.centroid() in ("p0499", "p0500")
+
+
 def test_contract_keeps_every_vertex_in_keep():
     rng = random.Random(41)
     for i in range(20):
