@@ -19,6 +19,9 @@ else, so they are its downward vectors, and the BC-subtrees topped there
 are read off them directly (see ``_topped_at``).  Single vertices and
 single edges never count as BC-subtrees.
 
+As product rows (``subtree_enum``), odd rows keep entries 0 and 1, since
+``_topped_at`` reads them from 2, and even rows entry 0 (read from 1).
+
 Counting functions accept a WeightedTree with custom vectors and evaluate
 the same recursion over them.  The rooted vectors stay meaningful for any
 weights; for the assembled counts it is the standard initialization (odd
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
-from .subtree_enum import exact_degree, fold_row, range_sum
+from .subtree_enum import _Product, exact_degree, fold_row, range_sum
 from .tree import Tree, WeightedTree, as_weighted, check_anchors
 
 
@@ -61,6 +64,23 @@ class ParityDegreeVector:
         and never contributes a counted structure by itself.
         """
         return cls((ONE,) + (ZERO,) * k, (vertex_weight,) + (ZERO,) * k)
+
+    @classmethod
+    def _raw(cls, odd: tuple[BiPoly, ...], even: tuple[BiPoly, ...]) -> "ParityDegreeVector":
+        # Trusted constructor: full rows checked by fold_row, or product rows,
+        # whose odd and even rows differ in length.
+        out = object.__new__(cls)
+        out.odd, out.even = odd, even
+        return out
+
+    @classmethod
+    def _product(cls, vertex_weight: BiPoly) -> "ParityDegreeVector":
+        """The starting vectors as product rows: odd (1, 0, 0), even (w, 0)."""
+        return cls._raw(_Product((ONE, ZERO, ZERO)), _Product((vertex_weight, ZERO)))
+
+    def _fits(self, k: int) -> bool:
+        """Whether cap k can count these vectors: product rows fit any cap."""
+        return type(self.odd) is _Product or len(self.odd) == k + 1
 
     def truncated(self) -> "ParityDegreeVector":
         """Both vectors without their top entry: the cap k-1 view."""
@@ -97,7 +117,7 @@ def leaf_update_bc(
     The plain fold, with the parity twist: the odd vector attaches the
     leaf's even sum, the even vector the leaf's odd sum from index 1.
     """
-    return ParityDegreeVector(
+    return ParityDegreeVector._raw(
         fold_row(parent.odd, leaf.even, 0, edge_weight, k),
         fold_row(parent.even, leaf.odd, 1, edge_weight, k),
     )
@@ -121,7 +141,7 @@ def rooted_parity_vectors(
     ``tree.as_weighted``), so those pairs may be shorter than k+1; the
     result is padded with zeros to length k+1.
     """
-    wt, cap = as_weighted(t, k, ParityDegreeVector)
+    wt, cap = as_weighted(t, k, ParityDegreeVector, full_rows=True)
     check_anchors(wt.tree, (root,))
 
     def fold(parent: ParityDegreeVector, leaf: ParityDegreeVector, edge_weight: BiPoly):

@@ -14,7 +14,7 @@ Values are immutable after construction and all operations return new
 instances, so instances may be shared freely between concurrent runs.
 
 A product with a one-term operand shifts the other operand's exponents and
-scales its coefficients.  Other small products run a double loop over term
+scales its coefficients; a product with ONE returns the other operand.  Other small products run a double loop over term
 pairs.  Large operands are multiplied by Kronecker substitution, so that
 CPython's big integer multiplication (Karatsuba) does the inner loop: each
 operand's terms are grouped into rows (one diagonal ``dz - dy`` each, or
@@ -164,6 +164,8 @@ class BiPoly:
         if not a or not b:
             return _ZERO
         if len(a) == 1 or len(b) == 1:  # a monomial shifts and scales the other
+            if b == _ONE_TERMS or a == _ONE_TERMS:  # ONE: share the other operand
+                return self if b == _ONE_TERMS else other
             mono, other = (a, b) if len(a) == 1 else (b, a)
             ((my, mz), mc), = mono.items()
             shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
@@ -380,6 +382,7 @@ def _mul_packed(a: dict, b: dict, line: bool) -> dict:
 
 
 _ZERO = BiPoly.zero()
+_ONE_TERMS = {(0, 0): 1}
 
 #: Shared immutable constants; safe because instances are never mutated.
 ZERO = _ZERO

@@ -28,7 +28,8 @@ from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
-from .tree import Tree, WeightedTree, _binding_cap, least_k, random_tree, require_int
+from .tree import Tree, WeightedTree, _binding_cap, _starting_vector
+from .tree import least_k, random_tree, require_int
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def _unit_count(t: Tree, k: int, family: str) -> int:
     else:
         vector_type, count = DegreeVector, count_all
     k = _binding_cap(t, k, family)
-    weights = {v: vector_type.initial(k, ONE) for v in t.vertices}
+    weights = {v: _starting_vector(vector_type, k, t.degree(v), ONE) for v in t.vertices}
     return count(WeightedTree(t, weights, {e: ONE for e in t.edges}), k).eval_counts()
 
 

@@ -8,6 +8,15 @@ rooted subtrees that can hang off the removed edge (u's entries 0..k-1,
 since attaching uses one unit of u's degree budget).  Repeating this until
 the tree is a single vertex turns local vectors into global counts.
 
+A *product row* keeps the entries below the largest lower index its family
+reads (none for plain subtrees), then ``rest``, the sum of all the others.
+It serves a vertex of degree at most the cap, which takes at most cap - 1
+folds before it is eliminated (cap if it survives, cap - 2 inside a pair's
+path): every range read from it reaches past its last non-zero entry, and
+the cap never truncates it.  Without a head, rest = w * prod(1 + a_j) over
+the attached branches a_j, so a fold costs one product, rest * (1 + a), not
+one per live entry; with a head, rest gains (last head entry + rest) * a.
+
 The elimination loop itself is ``WeightedTree.contract``, shared with the
 BC family.  This module supplies the vector type and the fold, and also
 the steps the BC family repeats with two vectors per vertex: the range
@@ -21,37 +30,57 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Sequence
 
-from .bipoly import BiPoly, Y, ZERO, _RunningSum
+from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
 from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
 
 
+class _Product(tuple):
+    """A product row: head entries, then ``rest`` (see the module docstring)."""
+
+    __slots__ = ()
+
+
 def range_sum(entries: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
-    """Sum of entries lo..hi inclusive; empty or negative ranges are zero."""
+    """Sum of entries lo..hi inclusive; empty or negative ranges are zero.
+    A product row holds nothing past hi: its head entries from lo plus rest."""
     if hi < lo:
         return ZERO
+    if type(entries) is _Product:
+        lo = min(lo, len(entries) - 1)
+        # rest first: BiPoly.sum copies its first operand, mostly the largest.
+        return entries[lo] if lo == len(entries) - 1 else BiPoly.sum(reversed(entries[lo:]))
     return BiPoly.sum(entries[max(lo, 0) : hi + 1])
 
 
 def fold_row(
     parent: Sequence[BiPoly], leaf: Sequence[BiPoly], lo: int, edge_weight: BiPoly, k: int
-) -> list[BiPoly]:
+) -> tuple[BiPoly, ...]:
     """The fold of both families, on one degree-indexed row.
 
     The branch hung off the removed edge is ``edge_weight`` times the
     leaf's entries lo..k-1.  New entries read only the incoming parent
     row, never already-updated entries; otherwise the same leaf could
-    attach twice.
+    attach twice.  Either row may be a full row of length k+1 or a product
+    row; the result has the parent's form.
     """
-    if len(parent) != k + 1 or len(leaf) != k + 1:
+    if (len(parent) != k + 1 and type(parent) is not _Product) or (
+        len(leaf) != k + 1 and type(leaf) is not _Product
+    ):
         raise LengthMismatch(
             f"vectors must have length {k + 1}, got {len(parent)} and {len(leaf)}"
         )
     attach = edge_weight * range_sum(leaf, lo, k - 1)
+    product = type(parent) is _Product
+    if product and len(parent) == 1:
+        return _Product((parent[0] * (attach + ONE),))
     out = list(parent)
-    for i in range(1, k + 1):
+    for i in range(1, len(parent) - product):
         out[i] = parent[i] + parent[i - 1] * attach
-    return out
+    if not product:
+        return tuple(out)
+    out[-1] = (parent[-1] + parent[-2]) * attach + parent[-1]
+    return _Product(out)
 
 
 def exact_degree(
@@ -74,7 +103,8 @@ def exact_degree(
     if cap < k:
         return ZERO
     count = modes[len(anchors)]
-    return count(wt, k, *anchors) - count(wt.truncated(), k - 1, *anchors)
+    lower = t if isinstance(t, Tree) else wt.truncated()
+    return count(wt, k, *anchors) - count(lower, k - 1, *anchors)
 
 
 class DegreeVector:
@@ -84,7 +114,7 @@ class DegreeVector:
     family = "subtree"
 
     def __init__(self, entries: Sequence[BiPoly]):
-        self.entries = tuple(entries)
+        self.entries = entries if type(entries) is _Product else tuple(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
 
@@ -92,6 +122,15 @@ class DegreeVector:
     def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "DegreeVector":
         """The starting vector (w, 0, ..., 0) of length k+1."""
         return cls((vertex_weight,) + (ZERO,) * k)
+
+    @classmethod
+    def _product(cls, vertex_weight: BiPoly) -> "DegreeVector":
+        """The starting vector as a product row: no head, rest = w."""
+        return cls(_Product((vertex_weight,)))
+
+    def _fits(self, k: int) -> bool:
+        """Whether cap k can count this vector: a product row fits any cap."""
+        return type(self.entries) is _Product or len(self.entries) == k + 1
 
     def truncated(self) -> "DegreeVector":
         """This vector without its top entry: the cap k-1 view."""
@@ -161,12 +200,14 @@ def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> B
     wt, k = as_weighted(t, k, DegreeVector)
     path = wt.tree.path_between(vi, vj)
     vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k))
-    acc = vectors[vi].sum_range(0, k - 1) * vectors[vj].sum_range(0, k - 1)
-    for u in path[1:-1]:
-        acc = acc * vectors[u].sum_range(0, k - 2)
-    for a, b in zip(path, path[1:]):
-        acc = acc * wt.edge_weight(a, b)
-    return acc
+    factors = [vectors[vi].sum_range(0, k - 1), vectors[vj].sum_range(0, k - 1)]
+    factors += [vectors[u].sum_range(0, k - 2) for u in path[1:-1]]
+    factors += [wt.edge_weight(a, b) for a, b in zip(path, path[1:])]
+    # Pairwise, up a balanced tree, not each onto a product of about n terms.
+    while len(factors) > 1:
+        pairs = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        factors = pairs + factors[2 * len(pairs) :]
+    return factors[0]
 
 
 def count_exact_degree(

@@ -17,7 +17,7 @@ import heapq
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bipoly import BiPoly, Z
+from .bipoly import BiPoly, Y, Z
 from .errors import (
     InvalidArgument,
     KTooSmall,
@@ -368,22 +368,36 @@ def _binding_cap(t: Tree, k: int, family: str) -> int:
     return min(k, max(t.max_degree(), least_k(family)))
 
 
-def as_weighted(t: Tree | WeightedTree, k: int, vector_type) -> tuple[WeightedTree, int]:
+def _starting_vector(vector_type, cap: int, degree: int, vertex_weight: BiPoly = Y):
+    """A vertex's starting vector at ``cap``: product rows (``subtree_enum``)
+    if its degree is at most cap, which then cannot bind; else ``initial``."""
+    if degree <= cap:
+        return vector_type._product(vertex_weight)
+    return vector_type.initial(cap, vertex_weight)
+
+
+def as_weighted(
+    t: Tree | WeightedTree, k: int, vector_type, full_rows: bool = False
+) -> tuple[WeightedTree, int]:
     """``(wt, cap)``, k checked against the family's least cap first.  For a
-    Tree, ``wt`` has ``vector_type.initial(cap)`` at every vertex, cap being
-    k clamped by ``_binding_cap``; a WeightedTree comes back as it is, with
-    cap = k, once its vectors are checked to have length k+1."""
+    Tree, ``wt`` has each vertex's ``_starting_vector`` at cap (``initial``
+    if ``full_rows``), cap being k clamped by ``_binding_cap``; a WeightedTree
+    comes back as it is, with cap = k, once its vectors are checked to fit k."""
     require_int(k, least_k(vector_type.family))
     if isinstance(t, WeightedTree):
         for v in t.tree.vertices:
             vec = t.vector(v)
-            if not isinstance(vec, vector_type) or len(vec) != k + 1:
+            if not isinstance(vec, vector_type) or not vec._fits(k):
                 raise LengthMismatch(
                     f"vertex {v!r} needs a {vector_type.__name__} of length {k + 1}"
                 )
         return t, k
     cap = _binding_cap(t, k, vector_type.family)
-    return WeightedTree(t, {v: vector_type.initial(cap) for v in t.vertices}), cap
+    start = {
+        v: vector_type.initial(cap) if full_rows else _starting_vector(vector_type, cap, len(ns))
+        for v, ns in t._adj.items()
+    }
+    return WeightedTree(t, start), cap
 
 
 def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:

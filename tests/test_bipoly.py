@@ -260,6 +260,22 @@ def test_monomial_product_matches_dict_product(a, m):
     assert (BiPoly(m) * BiPoly(a)).terms() == expected
 
 
+@given(st.one_of(polys, operands.map(BiPoly)))
+@example(ONE)
+@example(BiPoly.one())
+@example(ZERO)
+def test_product_with_one_shares_the_other_operand(p):
+    before = (p.terms(), ONE.terms())
+    left, right = ONE * p, p * ONE
+    assert left.terms() == right.terms() == _mul_dict(ONE.terms(), p.terms())
+    if not p:  # the zero test comes first and answers the shared ZERO
+        assert left is right is ZERO
+    else:  # a p equal to ONE may come back as either operand; both are ONE
+        assert left is p or (p == ONE and left is ONE)
+        assert right is p
+    assert (p.terms(), ONE.terms()) == before
+
+
 def _count_packed(monkeypatch):
     calls = []
 

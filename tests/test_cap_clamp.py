@@ -1,9 +1,10 @@
 """Caps above a plain tree's maximum degree cannot bind.
 
 For a plain Tree the counts run at the cap that can bind: k clamped to
-the maximum degree, never below the family's least cap.  A WeightedTree
-keeps the length of its vectors, so counting one built with full-length
-``initial(k)`` vectors is an unclamped reference for every mode.
+the maximum degree, never below the family's least cap, and each vertex
+whose degree the cap cannot exceed starts as a product row.  A WeightedTree
+keeps its vectors as they are, so counting one built with full-length
+``initial(k)`` vectors is an unclamped, full-row reference for every mode.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from subtreecount import (
     ZERO,
+    BiPoly,
     DegreeVector,
     ParityDegreeVector,
     UnknownVertex,
@@ -50,6 +52,31 @@ FAMILIES = {
 ENSEMBLE = seeded_ensemble(per_size=4, sizes=range(2, 11))
 
 
+def _star(m):
+    """A hub c with leaves l1..lm, listed l1 first, so that the anchor pair
+    (l1, lm) runs through the hub."""
+    return parse_edge_list("".join(f"l{i} c\n" for i in range(1, m + 1)))
+
+
+def _broom(handle, bristles):
+    """A path h1..h<handle> with ``bristles`` leaves at its far end."""
+    lines = [f"h{i} h{i + 1}\n" for i in range(1, handle)]
+    lines += [f"h{handle} b{i}\n" for i in range(1, bristles + 1)]
+    return parse_edge_list("".join(lines))
+
+
+def _caterpillar(spine, legs):
+    lines = [f"s{i} s{i + 1}\n" for i in range(1, spine)]
+    lines += [f"s{i} s{i}l{j}\n" for i in range(1, spine + 1) for j in range(legs)]
+    return parse_edge_list("".join(lines))
+
+
+#: Hubs whose degree the cap may or may not reach, so a plain Tree mixes
+#: product rows and full rows (see subtree_enum) in every mode.
+SHAPES = [_star(2), _star(4), _star(7), _broom(5, 4), _broom(2, 6), _caterpillar(4, 2),
+          _caterpillar(3, 3)]
+
+
 def _anchor_choices(t):
     first, last = t.vertices[0], t.vertices[-1]
     return ((), (first,), (first, last))
@@ -63,7 +90,7 @@ def _unclamped(t, k, vector_type):
 def test_every_mode_on_a_tree_equals_its_unclamped_weighted_count(family):
     vector_type, modes, exact = FAMILIES[family]
     least = LEAST_K[family]
-    for t in ENSEMBLE:
+    for t in ENSEMBLE + SHAPES:
         for k in range(least, t.max_degree() + 3):
             full = _unclamped(t, k, vector_type)
             for anchors in _anchor_choices(t):
@@ -124,3 +151,22 @@ def test_a_huge_cap_counts_like_the_maximum_degree(capsys, tmp_path, command):
         tracemalloc.stop()
     assert (code, capsys.readouterr().out) == (0, expected)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("family, limit", [("subtree", 3), ("bc", 6)])
+def test_a_star_whose_cap_cannot_bind_folds_at_a_constant_cost(monkeypatch, family, limit):
+    # Full rows would cost about m^2 products (1,640 and 3,280 here); product
+    # rows cost a few per fold.
+    vector_type, modes, _ = FAMILIES[family]
+    m, calls = 40, []
+    t = _star(m)
+    expected = modes[0](_unclamped(t, m, vector_type), m)
+    mul = BiPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    assert modes[0](t, m) == expected
+    assert len(calls) <= limit * m
