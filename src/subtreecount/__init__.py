@@ -15,7 +15,6 @@ from .bc_enum import (
     count_bc_containing,
     count_bc_containing_pair,
     count_bc_exact_degree,
-    leaf_update_bc,
     rooted_parity_vectors,
 )
 from .errors import (
@@ -83,7 +82,6 @@ __all__ = [
     "count_containing_pair",
     "count_exact_degree",
     "ParityDegreeVector",
-    "leaf_update_bc",
     "rooted_parity_vectors",
     "count_bc_all",
     "count_bc_containing",

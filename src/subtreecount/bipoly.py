@@ -122,18 +122,7 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged = acc.get(key, 0) + coeff
-            if merged:
-                acc[key] = merged
-            else:  # cannot happen with non-negative coefficients, kept for safety
-                del acc[key]
-        return BiPoly._raw(acc)
+        return BiPoly.sum((self, other))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         """Termwise difference; the subtrahend must be dominated coefficientwise.
@@ -183,9 +172,11 @@ class BiPoly:
     def sum(items: Iterable["BiPoly"]) -> "BiPoly":
         """Sum of many polynomials, accumulated in a single dict.
 
-        Zero operands are skipped.  A lone non-zero operand is returned
-        itself, as ``+`` does with a zero; the dict is only built once a
-        second non-zero operand arrives.
+        Zero operands are skipped, and a lone non-zero operand is returned
+        itself; the dict is only built once a second non-zero operand
+        arrives.  The smaller of the running sum and the next operand is
+        walked into a copy of the larger, so the order of the operands does
+        not set the cost.  ``a + b`` is the sum of (a, b).
         """
         first, acc = _ZERO, None
         for poly in items:
@@ -197,6 +188,8 @@ class BiPoly:
                 continue
             if acc is None:
                 acc = dict(first._terms)
+            if len(terms) > len(acc):
+                terms, acc = acc, dict(terms)
             for key, coeff in terms.items():
                 acc[key] = acc.get(key, 0) + coeff
         return first if acc is None else BiPoly._raw(acc)

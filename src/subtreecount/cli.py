@@ -189,10 +189,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, InvalidArgument) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SubtreeCountError as exc:
+    except (OSError, SubtreeCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

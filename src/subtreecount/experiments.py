@@ -28,7 +28,7 @@ from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
-from .tree import Tree, WeightedTree, _binding_cap, _starting_vector
+from .tree import Tree, _binding_cap, as_weighted
 from .tree import least_k, random_tree, require_int
 
 
@@ -47,9 +47,8 @@ def _unit_count(t: Tree, k: int, family: str) -> int:
         vector_type, count = ParityDegreeVector, count_bc_all
     else:
         vector_type, count = DegreeVector, count_all
-    k = _binding_cap(t, k, family)
-    weights = {v: _starting_vector(vector_type, k, t.degree(v), ONE) for v in t.vertices}
-    return count(WeightedTree(t, weights, {e: ONE for e in t.edges}), k).eval_counts()
+    wt, cap = as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
+    return count(wt, cap).eval_counts()
 
 
 def ratio_sweep(

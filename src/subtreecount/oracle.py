@@ -230,16 +230,11 @@ def _rooted_parity_base(
             continue
         odd_vec, even_vec = _parity_vecs(vertex_weights, v, k)
         cap = k - w.degree(v)
-        if parity == "odd":
-            if dist_parity[v] == 1:
-                acc = acc * _entry_sum(even_vec, 0, cap)
-            else:
-                acc = acc * _entry_sum(odd_vec, 1 if v in leaves else 0, cap)
+        # The leaves' class is the odd (even) distance class from root.
+        if dist_parity[v] == (1 if parity == "odd" else 0):
+            acc = acc * _entry_sum(even_vec, 0, cap)
         else:
-            if dist_parity[v] == 0:
-                acc = acc * _entry_sum(even_vec, 0, cap)
-            else:
-                acc = acc * _entry_sum(odd_vec, 1 if v in leaves else 0, cap)
+            acc = acc * _entry_sum(odd_vec, 1 if v in leaves else 0, cap)
         if not acc:
             return ZERO
     return acc

@@ -4,30 +4,30 @@ Each vertex v carries a vector whose entry i is the generating function of
 subtrees rooted at v in which v has degree exactly i and no vertex exceeds
 degree k.  Eliminating a pendant vertex u with edge (u, p) folds u's
 vector into p's: entry i of p gains entry i-1 times the total weight of
-rooted subtrees that can hang off the removed edge (u's entries 0..k-1,
-since attaching uses one unit of u's degree budget).  Repeating this until
-the tree is a single vertex turns local vectors into global counts.
+rooted subtrees that can hang off the removed edge, u's entries lo..k-1
+(attaching uses one unit of u's degree budget; lo = 0 here, where any
+vertex may be a leaf, and 1 in a BC colour pass for a vertex that may not,
+see bc_enum).  Repeating this until the tree is a single vertex turns
+local vectors into global counts.
 
-A *product row* keeps the entries below the largest lower index its family
-reads (none for plain subtrees), then ``rest``, the sum of all the others.
-It serves a vertex of degree at most the cap, which takes at most cap - 1
-folds before it is eliminated (cap if it survives, cap - 2 inside a pair's
-path): every range read from it reaches past its last non-zero entry, and
-the cap never truncates it.  Without a head, rest = w * prod(1 + a_j) over
-the attached branches a_j, so a fold costs one product, rest * (1 + a), not
-one per live entry; with a head, rest gains (last head entry + rest) * a.
+A *product row* keeps its head, the entries below the largest lower index
+its reader uses (none for plain subtrees, 0..lo in a BC pass, which reads
+from lo + 1), then ``rest``, the sum of all the others.  It serves a
+vertex of degree at most the cap, which takes at most cap - 1 folds before
+it is eliminated (cap if it survives, cap - 2 inside a pair's path): every
+range read from it reaches past its last non-zero entry, and the cap never
+truncates it.  Without a head, rest = w * prod(1 + a_j) over the attached
+branches a_j, so a fold costs one product, rest * (1 + a), not one per
+live entry; with a head, rest gains (last head entry + rest) * a.
 
-The elimination loop itself is ``WeightedTree.contract``, shared with the
-BC family.  This module supplies the vector type and the fold, and also
-the steps the BC family repeats with two vectors per vertex: the range
-sum, the fold body and the exact-degree dispatch.  The three public
-counting modes differ only in which vertices survive the
-contraction and how the surviving vectors are combined.
+The elimination loop itself is ``WeightedTree.contract``; ``_contract``
+runs it with this module's fold, ``leaf_update_subtree``, for both
+families.  The counting modes differ only in which vertices survive and
+how their vectors are combined.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
@@ -47,40 +47,9 @@ def range_sum(entries: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
     if hi < lo:
         return ZERO
     if type(entries) is _Product:
-        lo = min(lo, len(entries) - 1)
-        # rest first: BiPoly.sum copies its first operand, mostly the largest.
-        return entries[lo] if lo == len(entries) - 1 else BiPoly.sum(reversed(entries[lo:]))
+        last = len(entries) - 1
+        return entries[last] if lo >= last else BiPoly.sum(entries[lo:])
     return BiPoly.sum(entries[max(lo, 0) : hi + 1])
-
-
-def fold_row(
-    parent: Sequence[BiPoly], leaf: Sequence[BiPoly], lo: int, edge_weight: BiPoly, k: int
-) -> tuple[BiPoly, ...]:
-    """The fold of both families, on one degree-indexed row.
-
-    The branch hung off the removed edge is ``edge_weight`` times the
-    leaf's entries lo..k-1.  New entries read only the incoming parent
-    row, never already-updated entries; otherwise the same leaf could
-    attach twice.  Either row may be a full row of length k+1 or a product
-    row; the result has the parent's form.
-    """
-    if (len(parent) != k + 1 and type(parent) is not _Product) or (
-        len(leaf) != k + 1 and type(leaf) is not _Product
-    ):
-        raise LengthMismatch(
-            f"vectors must have length {k + 1}, got {len(parent)} and {len(leaf)}"
-        )
-    attach = edge_weight * range_sum(leaf, lo, k - 1)
-    product = type(parent) is _Product
-    if product and len(parent) == 1:
-        return _Product((parent[0] * (attach + ONE),))
-    out = list(parent)
-    for i in range(1, len(parent) - product):
-        out[i] = parent[i] + parent[i - 1] * attach
-    if not product:
-        return tuple(out)
-    out[-1] = (parent[-1] + parent[-2]) * attach + parent[-1]
-    return _Product(out)
 
 
 def exact_degree(
@@ -110,13 +79,21 @@ def exact_degree(
 class DegreeVector:
     """Per-vertex weight vector, index i = rooted subtrees with root degree i."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_lo")
     family = "subtree"
 
     def __init__(self, entries: Sequence[BiPoly]):
         self.entries = entries if type(entries) is _Product else tuple(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
+        self._lo = 0
+
+    @classmethod
+    def _row(cls, entries: Sequence[BiPoly], lo: int) -> "DegreeVector":
+        """Trusted constructor: a checked or product row that attaches from lo."""
+        out = object.__new__(cls)
+        out.entries, out._lo = entries, lo
+        return out
 
     @classmethod
     def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "DegreeVector":
@@ -126,7 +103,7 @@ class DegreeVector:
     @classmethod
     def _product(cls, vertex_weight: BiPoly) -> "DegreeVector":
         """The starting vector as a product row: no head, rest = w."""
-        return cls(_Product((vertex_weight,)))
+        return cls._row(_Product((vertex_weight,)), 0)
 
     def _fits(self, k: int) -> bool:
         """Whether cap k can count this vector: a product row fits any cap."""
@@ -158,24 +135,63 @@ class DegreeVector:
 def leaf_update_subtree(
     parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly, k: int
 ) -> DegreeVector:
-    """Fold an eliminated pendant vertex into its neighbour's vector."""
-    return DegreeVector(fold_row(parent.entries, leaf.entries, 0, edge_weight, k))
+    """Fold an eliminated pendant vertex into its neighbour's vector: the
+    fold of both families.
+
+    The branch hung off the removed edge is ``edge_weight`` times the
+    leaf's entries lo..k-1, lo being the leaf's.  New entries read only the
+    incoming parent row, never already-updated entries; otherwise the same
+    leaf could attach twice.  Either row may be a full row of length k+1 or
+    a product row; the result has the parent's form and lo.  An empty
+    branch leaves the parent as it is, returned itself: in a BC pass, every
+    original leaf outside the colour class attaches nothing.
+    """
+    row, hung = parent.entries, leaf.entries
+    if (len(row) != k + 1 and type(row) is not _Product) or (
+        len(hung) != k + 1 and type(hung) is not _Product
+    ):
+        raise LengthMismatch(f"vectors must have length {k + 1}, got {len(row)} and {len(hung)}")
+    branch = range_sum(hung, leaf._lo, k - 1)
+    if not branch:
+        return parent
+    attach = edge_weight * branch
+    product = type(row) is _Product
+    if product and len(row) == 1:
+        return DegreeVector._row(_Product((row[0] * (attach + ONE),)), parent._lo)
+    out = list(row)
+    for i in range(1, len(row) - product):
+        out[i] = row[i] + row[i - 1] * attach
+    if product:
+        out[-1] = (row[-1] + row[-2]) * attach + row[-1]
+    return DegreeVector._row(_Product(out) if product else tuple(out), parent._lo)
+
+
+def _contract(wt: WeightedTree, k: int, keep: frozenset, finished: Callable | None = None):
+    """``wt.contract(keep, ...)`` with ``leaf_update_subtree`` at cap k.
+    ``finished``, if given, is called as ``finished(row, lo)`` with every
+    eliminated vertex's final row, its downward row: of the branch it cuts
+    off from the survivors."""
+
+    def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
+        if finished is not None:
+            finished(leaf.entries, leaf._lo)
+        return leaf_update_subtree(parent, leaf, edge_weight, k)
+
+    return wt.contract(keep, fold)
 
 
 def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     """Generating function of all subtrees with maximum degree <= k.
 
     Each term y^a z^b counts subtrees with a vertices and b edges (under
-    the default weights); evaluate at y = z = 1 for the plain count.
+    the default weights); evaluate at y = z = 1 for the plain count.  Every
+    subtree is counted once, at the first of its vertices to be eliminated
+    (or at the survivor), from that vertex's downward vector.
     """
     wt, k = as_weighted(t, k, DegreeVector)
     total = _RunningSum()
-
-    def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
-        total.add(range_sum(leaf.entries, 0, k))
-        return leaf_update_subtree(parent, leaf, edge_weight, k)
-
-    (last,) = wt.contract(frozenset(), fold).values()
+    survivors = _contract(wt, k, frozenset(), lambda row, lo: total.add(range_sum(row, 0, k)))
+    (last,) = survivors.values()
     total.add(range_sum(last.entries, 0, k))
     return total.total()
 
@@ -184,23 +200,26 @@ def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
     wt, k = as_weighted(t, k, DegreeVector)
     check_anchors(wt.tree, (v,))
-    vectors = wt.contract(frozenset([v]), partial(leaf_update_subtree, k=k))
-    return vectors[v].sum_range(0, k)
+    return _contract(wt, k, frozenset([v]))[v].sum_range(0, k)
 
 
 def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> BiPoly:
-    """Generating function of subtrees containing both vi and vj.
-
-    After contracting everything else, only the vi..vj path remains.  Any
-    counted subtree contains that whole path, so it decomposes into
-    independent choices hanging off each path vertex: the endpoints spend
-    one degree unit on the path (entries up to k-1), interior vertices
-    spend two (entries up to k-2).
-    """
+    """Generating function of subtrees containing both vi and vj."""
     wt, k = as_weighted(t, k, DegreeVector)
-    path = wt.tree.path_between(vi, vj)
-    vectors = wt.contract(frozenset([vi, vj]), partial(leaf_update_subtree, k=k))
-    factors = [vectors[vi].sum_range(0, k - 1), vectors[vj].sum_range(0, k - 1)]
+    return _pair_product(wt, k, wt.tree.path_between(vi, vj))
+
+
+def _pair_product(wt: WeightedTree, k: int, path: Sequence[str]) -> BiPoly:
+    """The pair count from one contraction onto the ends of ``path``.
+
+    Only the path remains.  Any counted subtree contains all of it, so it
+    decomposes into independent choices hanging off each path vertex: the
+    ends spend one degree unit on the path (entries lo..k-1), interior
+    vertices two (entries 0..k-2; they are no leaves, so lo cannot bind).
+    """
+    vectors = _contract(wt, k, frozenset([path[0], path[-1]]))
+    ends = (vectors[path[0]], vectors[path[-1]])
+    factors = [end.sum_range(end._lo, k - 1) for end in ends]
     factors += [vectors[u].sum_range(0, k - 2) for u in path[1:-1]]
     factors += [wt.edge_weight(a, b) for a, b in zip(path, path[1:])]
     # Pairwise, up a balanced tree, not each onto a product of about n terms.

@@ -8,7 +8,11 @@ A WeightedTree couples a tree with one weight payload per vertex (a
 degree-indexed vector of polynomials, see subtree_enum / bc_enum) and one
 polynomial per edge.  ``WeightedTree.contract``, the pendant-elimination
 loop of both counting families, folds vectors without rebuilding the tree;
-the underlying polynomials are immutable and shared.
+the underlying polynomials are immutable and shared.  The elimination
+order depends only on the tree and the survivors, so a Tree caches the
+last one beside its centroid, and the two colour passes of a BC count, the
+cap-(k-1) count of an exact-degree count and a sweep's per-k counts replay
+it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class Tree:
     """A labeled, connected, acyclic undirected graph."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_centroid")
+    __slots__ = ("_vertices", "_edges", "_adj", "_centroid", "_order")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         verts = tuple(_check_label(v) for v in vertices)
@@ -89,6 +93,7 @@ class Tree:
         self._edges = tuple(norm)
         self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._centroid: str | None = None
+        self._order: tuple[frozenset[str], list] | None = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -126,12 +131,7 @@ class Tree:
         """
         if self._centroid is None:
             adj, root = self._adj, self._vertices[0]
-            parent, order = {root: root}, [root]
-            for v in order:
-                for w in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        order.append(w)
+            order, parent = self._walk(root)
             size = dict.fromkeys(order, 1)
             for v in reversed(order[1:]):
                 size[parent[v]] += size[v]
@@ -144,19 +144,41 @@ class Tree:
             self._centroid = v
         return self._centroid
 
+    def _walk(self, root: str) -> tuple[list[str], dict[str, str]]:
+        """The vertices in breadth-first order from ``root``, and each one's
+        parent on the way (root's parent is root)."""
+        parent, order = {root: root}, [root]
+        for v in order:
+            for w in self._adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        return order, parent
+
+    def _elimination(self, keep: frozenset[str]) -> list[tuple[str, str, tuple[str, str]]]:
+        """The steps ``(u, p, edge_key(u, p))`` of a contraction onto ``keep``
+        (see ``WeightedTree.contract``); the last order asked for is cached."""
+        if self._order is None or self._order[0] != keep:
+            survivors = keep or frozenset([self.centroid()])
+            degree = {v: len(ns) for v, ns in self._adj.items()}
+            # Already sorted, hence already a heap.
+            pendants = [u for u in self.pendant_vertices() if u not in survivors]
+            steps = []
+            while pendants:
+                u = heapq.heappop(pendants)
+                degree[u] = 0  # eliminated, so no longer a neighbour to fold into
+                p = next(w for w in self._adj[u] if degree[w])
+                steps.append((u, p, edge_key(u, p)))
+                degree[p] -= 1
+                if degree[p] == 1 and p not in survivors:
+                    heapq.heappush(pendants, p)
+            self._order = (keep, steps)
+        return self._order[1]
+
     def path_between(self, u: str, v: str) -> list[str]:
         """The unique path from u to v, endpoints included."""
         check_anchors(self, (u, v))
-        parent = {u: u}
-        frontier = [u]
-        while v not in parent:
-            nxt = []
-            for x in frontier:
-                for w in self._adj[x]:
-                    if w not in parent:
-                        parent[w] = x
-                        nxt.append(w)
-            frontier = nxt
+        parent = self._walk(u)[1]
         path = [v]
         while path[-1] != u:
             path.append(parent[path[-1]])
@@ -262,7 +284,7 @@ def random_tree(n: int, seed: int) -> Tree:
 class WeightedTree:
     """A tree plus one weight vector per vertex and one polynomial per edge."""
 
-    __slots__ = ("tree", "_vertex_weights", "_edge_weights")
+    __slots__ = ("tree", "_vertex_weights", "_edge_weights", "_starting")
 
     def __init__(
         self,
@@ -281,6 +303,8 @@ class WeightedTree:
         self.tree = tree
         self._vertex_weights = dict(vertex_weights)
         self._edge_weights = ew
+        # True only for the starting vectors of ``as_weighted``.
+        self._starting = False
 
     def vector(self, v: str):
         try:
@@ -309,30 +333,25 @@ class WeightedTree:
         sizes of a contraction onto v sum to the distances from v, which
         the centroid makes least (n^2/4 on a path, against n^2/2 from an
         end).  Returns the survivors' final vectors and leaves this
-        WeightedTree unchanged; the tree is never rebuilt, so a step costs
-        u's degree plus a heap operation.
+        WeightedTree unchanged; the tree is never rebuilt, and the order is
+        the tree's cached one, so a step costs one fold.
         """
-        keep = keep or frozenset([self.tree.centroid()])
         vectors = dict(self._vertex_weights)
-        degree = {v: len(ns) for v, ns in self.tree._adj.items()}
-        # Already sorted, hence already a heap.
-        pendants = [u for u in self.tree.pendant_vertices() if u not in keep]
-        while pendants:
-            u = heapq.heappop(pendants)
-            p = next(w for w in self.tree.neighbors(u) if w in vectors)
-            vectors[p] = fold(vectors[p], vectors.pop(u), self.edge_weight(u, p))
-            degree[p] -= 1
-            if degree[p] == 1 and p not in keep:
-                heapq.heappush(pendants, p)
+        weights = self._edge_weights
+        for u, p, edge in self.tree._elimination(keep):
+            vectors[p] = fold(vectors[p], vectors.pop(u), weights[edge])
         return vectors
 
     def truncated(self) -> "WeightedTree":
         """Every vector without its top entry: the cap k-1 view of cap k."""
-        return WeightedTree(
-            self.tree,
-            {v: vec.truncated() for v, vec in self._vertex_weights.items()},
-            self._edge_weights,
-        )
+        return self._reweighted({v: vec.truncated() for v, vec in self._vertex_weights.items()})
+
+    def _reweighted(self, vectors: dict[str, object]) -> "WeightedTree":
+        """This tree and its edge weights with ``vectors`` (trusted: one per vertex)."""
+        out = object.__new__(WeightedTree)
+        out.tree, out._vertex_weights, out._edge_weights = self.tree, vectors, self._edge_weights
+        out._starting = False
+        return out
 
     def __repr__(self) -> str:
         return f"WeightedTree({self.tree!r})"
@@ -368,21 +387,22 @@ def _binding_cap(t: Tree, k: int, family: str) -> int:
     return min(k, max(t.max_degree(), least_k(family)))
 
 
-def _starting_vector(vector_type, cap: int, degree: int, vertex_weight: BiPoly = Y):
-    """A vertex's starting vector at ``cap``: product rows (``subtree_enum``)
-    if its degree is at most cap, which then cannot bind; else ``initial``."""
-    if degree <= cap:
-        return vector_type._product(vertex_weight)
-    return vector_type.initial(cap, vertex_weight)
-
-
 def as_weighted(
-    t: Tree | WeightedTree, k: int, vector_type, full_rows: bool = False
+    t: Tree | WeightedTree,
+    k: int,
+    vector_type,
+    full_rows: bool = False,
+    vertex_weight: BiPoly = Y,
+    edge_weight: BiPoly = Z,
 ) -> tuple[WeightedTree, int]:
-    """``(wt, cap)``, k checked against the family's least cap first.  For a
-    Tree, ``wt`` has each vertex's ``_starting_vector`` at cap (``initial``
-    if ``full_rows``), cap being k clamped by ``_binding_cap``; a WeightedTree
-    comes back as it is, with cap = k, once its vectors are checked to fit k."""
+    """``(wt, cap)``, k checked against the family's least cap first.
+
+    A WeightedTree comes back as it is, with cap = k, once its vectors are
+    checked to fit k.  For a Tree, cap is k clamped by ``_binding_cap``; ``wt``
+    has ``edge_weight`` on every edge and ``initial(cap, vertex_weight)`` at
+    every vertex, or, unless ``full_rows``, the product rows (subtree_enum)
+    where the degree is at most cap.  The vertices share these two vectors,
+    which count no bare vertex (``wt._starting``)."""
     require_int(k, least_k(vector_type.family))
     if isinstance(t, WeightedTree):
         for v in t.tree.vertices:
@@ -393,11 +413,12 @@ def as_weighted(
                 )
         return t, k
     cap = _binding_cap(t, k, vector_type.family)
-    start = {
-        v: vector_type.initial(cap) if full_rows else _starting_vector(vector_type, cap, len(ns))
-        for v, ns in t._adj.items()
-    }
-    return WeightedTree(t, start), cap
+    full = vector_type.initial(cap, vertex_weight)
+    product = full if full_rows else vector_type._product(vertex_weight)
+    start = {v: product if len(ns) <= cap else full for v, ns in t._adj.items()}
+    wt = WeightedTree(t, start, dict.fromkeys(t.edges, edge_weight))
+    wt._starting = True
+    return wt, cap
 
 
 def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:

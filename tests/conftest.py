@@ -2,10 +2,14 @@
 
 import pytest
 
+from functools import partial
+
 from subtreecount import (
     ZERO,
     BiPoly,
     DegreeVector,
+    LengthMismatch,
+    ParityDegreeVector,
     Tree,
     UnknownVertex,
     WeightedTree,
@@ -96,17 +100,87 @@ def count_all_kept_at(t, k, r):
     return BiPoly.sum(parts)
 
 
+def row_sum(row, lo, hi):
+    """Sum of the full row's entries lo..hi inclusive."""
+    return BiPoly.sum(row[max(lo, 0) : hi + 1])
+
+
 def bc_all_rooted_at(t, k, r):
-    """``count_bc_all(t, k)`` from one contraction of a plain Tree onto ``r``.
+    """``count_bc_all(t, k)`` from the colour passes of a plain Tree onto ``r``.
 
     ``count_bc_all`` always roots at a centroid; this roots anywhere.  Each
-    BC-subtree is counted at its top vertex, the one nearest r: a top of
-    degree 2 and up may have its leaves at odd or even distance, a top of
-    degree 1 is itself a leaf, so the others sit at even distance.
+    BC-subtree is counted once, in the pass of its leaves' colour, at its
+    top vertex, the one nearest r, whose degree there must exceed its lo.
     """
-    pairs = []
-    pairs.append(rooted_parity_vectors(t, k, r, finished=pairs.append))
-    return BiPoly.sum(vec.odd_sum(2, k) + vec.even_sum(1, k) for vec in pairs)
+    parts = []
+    vec = rooted_parity_vectors(
+        t, k, r, finished=lambda row, lo: parts.append(row_sum(row, lo + 1, k))
+    )
+    return BiPoly.sum(parts + [row_sum(vec.even, 1, k), row_sum(vec.odd, 2, k)])
+
+
+def parity_fold(parent, leaf, edge_weight, k):
+    """The parity fold of ``ParityDegreeVector`` pairs on full rows, kept as
+    a reference for the colour passes.
+
+    Hanging a branch off the neighbour flips the parity of every leaf
+    distance in it: the odd vector attaches the leaf's even entries
+    0..k-1, the even vector the leaf's odd entries 1..k-1 (a branch root
+    that stays a leaf sits at odd distance, so it needs index 0 on the
+    even side).
+    """
+    if not len(parent) == len(leaf) == k + 1:
+        raise LengthMismatch(f"vectors must have length {k + 1}")
+
+    def fold(row, branch, lo):
+        attach = edge_weight * row_sum(branch, lo, k - 1)
+        return (row[0],) + tuple(row[i] + row[i - 1] * attach for i in range(1, k + 1))
+
+    return ParityDegreeVector(fold(parent.odd, leaf.even, 0), fold(parent.even, leaf.odd, 1))
+
+
+def parity_reference(wt, k, anchors=()):
+    """Every BC count of the WeightedTree ``wt`` (full rows), and its rooted
+    vectors, from one contraction with ``parity_fold``: ``(count, rooted)``.
+
+    With no anchor, ``rooted`` is at the tree's first vertex; with one, at
+    the anchor; with two, ``rooted`` is None.  A BC-subtree is counted at
+    its top vertex: a top of degree 2 and up may have its leaves at odd or
+    even distance, a top of degree 1 is itself a leaf, so the others sit
+    at even distance; the bare input vectors' terms are taken off again.
+    The pair count walks the path from vj back to vi, carrying both
+    parity classes for the vertex it has reached.
+    """
+
+    def topped(vec):
+        return row_sum(vec.odd, 2, k) + row_sum(vec.even, 1, k)
+
+    fold = partial(parity_fold, k=k)
+    if len(anchors) == 2:
+        vi, vj = anchors
+        path = wt.tree.path_between(vi, vj)
+        vectors = wt.contract(frozenset(anchors), fold)
+        odd, even = row_sum(vectors[vj].odd, 1, k - 1), row_sum(vectors[vj].even, 0, k - 1)
+        for u, nxt in zip(path[-2:0:-1], path[:1:-1]):
+            w = wt.edge_weight(u, nxt)
+            vec = vectors[u]
+            odd, even = (row_sum(vec.odd, 0, k - 2) * w * even,
+                         row_sum(vec.even, 0, k - 2) * w * odd)
+        total = (row_sum(vectors[vi].odd, 1, k - 1) * even
+                 + row_sum(vectors[vi].even, 0, k - 1) * odd)
+        return wt.edge_weight(vi, path[1]) * total, None
+    root = anchors[0] if anchors else wt.tree.vertices[0]
+    parts = []
+
+    def finishing(parent, leaf, edge_weight):
+        parts.append(topped(leaf))
+        return fold(parent, leaf, edge_weight)
+
+    vec = wt.contract(frozenset([root]), finishing)[root]
+    if anchors:
+        return topped(vec) - topped(wt.vector(root)), vec
+    bare = BiPoly.sum(topped(wt.vector(v)) for v in wt.tree.vertices)
+    return BiPoly.sum(parts + [topped(vec)]) - bare, vec
 
 
 def split_bc_count(wt, k, v=None):
@@ -127,8 +201,8 @@ def split_bc_count(wt, k, v=None):
     )
     va = rooted_parity_vectors(side_a, k, a)
     vb = rooted_parity_vectors(side_b, k, b)
-    cross = (va.odd_sum(1, k - 1) * vb.even_sum(0, k - 1)
-             + va.even_sum(0, k - 1) * vb.odd_sum(1, k - 1)) * wt.edge_weight(a, b)
+    cross = (row_sum(va.odd, 1, k - 1) * row_sum(vb.even, 0, k - 1)
+             + row_sum(va.even, 0, k - 1) * row_sum(vb.odd, 1, k - 1)) * wt.edge_weight(a, b)
     if v is not None:
         return cross + split_bc_count(side_a, k, v)
     return cross + split_bc_count(side_a, k) + split_bc_count(side_b, k)

@@ -3,6 +3,8 @@ import sys
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtreecount import (
     BiPoly,
@@ -22,11 +24,12 @@ from subtreecount import (
     count_bc_containing,
     count_bc_containing_pair,
     count_bc_exact_degree,
-    leaf_update_bc,
     parse_edge_list,
     random_tree,
     rooted_parity_vectors,
 )
+
+from subtreecount import bc_enum, experiments
 
 from conftest import (
     bc_all_rooted_at,
@@ -34,6 +37,8 @@ from conftest import (
     elimination_order,
     evaluate,
     fold_pendant,
+    parity_fold,
+    parity_reference,
     relabel,
     split_bc_count,
 )
@@ -47,9 +52,13 @@ def test_initial_parity_vector():
     assert vec.even == (Y, ZERO, ZERO, ZERO)
 
 
+# test_leaf_update_bc_*: the parity fold, which the library replaced by
+# colour passes, lives on as the reference ``parity_fold`` in conftest.
+
+
 def test_leaf_update_bc_single_attach():
     init = ParityDegreeVector.initial(2)
-    out = leaf_update_bc(init, init, Z, 2)
+    out = parity_fold(init, init, Z, 2)
     # the attached edge is the only odd-leaf structure; a bare leaf has no
     # odd-rooted entries above index 0, so the even side stays empty
     assert out.odd == (ONE, P("y*z"), ZERO)
@@ -64,15 +73,15 @@ def test_leaf_update_bc_chain(path3):
 
 def test_leaf_update_bc_two_leaves():
     init = ParityDegreeVector.initial(3)
-    once = leaf_update_bc(init, init, Z, 3)
-    twice = leaf_update_bc(once, init, Z, 3)
+    once = parity_fold(init, init, Z, 3)
+    twice = parity_fold(once, init, Z, 3)
     assert twice.odd == (ONE, P("2*y*z"), P("y^2*z^2"), ZERO)
     assert twice.even == (Y, ZERO, ZERO, ZERO)
 
 
 def test_leaf_update_bc_length_guard():
     with pytest.raises(LengthMismatch):
-        leaf_update_bc(ParityDegreeVector.initial(2), ParityDegreeVector.initial(3), Z, 2)
+        parity_fold(ParityDegreeVector.initial(2), ParityDegreeVector.initial(3), Z, 2)
 
 
 def test_rooted_parity_vectors_cases(star3):
@@ -191,6 +200,65 @@ def test_custom_weights_match_the_split_recursion():
     assert nonzero > 30
 
 
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 3), max_size=2
+).map(BiPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_colour_passes_match_the_parity_fold_under_custom_weights(data):
+    # Custom vectors with entries above index 0, odd entries included, and
+    # random edge weights: the colour passes must give the parity fold's
+    # rooted vectors coefficient by coefficient, and the same counts.
+    n = data.draw(st.integers(1, 7), label="n")
+    t = random_tree(n, data.draw(st.integers(0, 10**6), label="seed"))
+    k = data.draw(st.integers(2, t.max_degree() + 2), label="k")
+    row = st.lists(small_polys, min_size=k + 1, max_size=k + 1)
+    wt = WeightedTree(
+        t,
+        {v: ParityDegreeVector(data.draw(row), data.draw(row)) for v in t.vertices},
+        {e: data.draw(small_polys) for e in t.edges},
+    )
+    assert count_bc_all(wt, k) == parity_reference(wt, k)[0]
+    for v in t.vertices:
+        count, rooted = parity_reference(wt, k, (v,))
+        vec = rooted_parity_vectors(wt, k, v)
+        assert (vec.odd, vec.even) == (rooted.odd, rooted.even), v
+        assert count_bc_containing(wt, k, v) == count, v
+    for vi, vj in zip(t.vertices, t.vertices[1:] + t.vertices[:1]):
+        if vi != vj:
+            pair = count_bc_containing_pair(wt, k, vi, vj)
+            assert pair == parity_reference(wt, k, (vi, vj))[0], (vi, vj)
+
+
+def test_starting_vectors_take_no_bare_vertex_correction(monkeypatch):
+    # Only caller-supplied rows can count a bare vertex.  The library's own
+    # starting vectors count none, also where a count hands them on as a
+    # WeightedTree (the exact-degree count, the sweep), so no range sums
+    # are spent on taking off what they count.
+    sums = []
+    range_sum = bc_enum.range_sum
+    monkeypatch.setattr(bc_enum, "range_sum", lambda *args: sums.append(1) or range_sum(*args))
+
+    def range_sums(count):
+        sums.clear()
+        count()
+        return len(sums)
+
+    t = random_tree(30, 8)
+    k = t.max_degree()
+    assert k > 3
+    both = range_sums(lambda: count_bc_all(t, k)) + range_sums(lambda: count_bc_all(t, k - 1))
+    assert range_sums(lambda: count_bc_exact_degree(t, k)) == both
+    unit = range_sums(lambda: experiments._unit_count(t, k - 1, "bc"))
+    assert unit == range_sums(lambda: count_bc_all(t, k - 1))
+    supplied = WeightedTree(t, {v: ParityDegreeVector.initial(k) for v in t.vertices})
+    assert range_sums(lambda: count_bc_all(supplied, k)) == (
+        range_sums(lambda: count_bc_all(t, k)) + 2 * len(t.vertices)
+    )
+
+
 def _spine_tree(n, legs_seed=None):
     """A path of n vertices, or with ``legs_seed`` a caterpillar of n vertices
     (spine n // 2, each other vertex on a random spine vertex), labelled in
@@ -230,19 +298,28 @@ def test_bc_counts_match_the_colour_class_dp():
 
 
 def test_bc_counts_take_one_contraction(monkeypatch):
+    # One elimination walk per count, replayed by one contraction per colour
+    # class; a recursion over the edges would contract once per edge.
     t = random_tree(40, 77)
-    calls = []
-    original = WeightedTree.contract
+    contracts, walks = [], []
+    contract, pendants = WeightedTree.contract, Tree.pendant_vertices
 
     def counting_contract(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+        contracts.append(1)
+        return contract(self, *args, **kwargs)
+
+    def counting_pendants(self):
+        walks.append(1)
+        return pendants(self)
 
     monkeypatch.setattr(WeightedTree, "contract", counting_contract)
+    monkeypatch.setattr(Tree, "pendant_vertices", counting_pendants)
     count_bc_all(t, 3)
-    assert len(calls) == 1
+    assert (len(walks), len(contracts)) == (1, 2)
     count_bc_containing(t, 3, t.vertices[5])
-    assert len(calls) == 2
+    assert (len(walks), len(contracts)) == (2, 4)
+    count_bc_containing_pair(t, 3, t.vertices[5], t.vertices[9])
+    assert (len(walks), len(contracts)) == (3, 6)
 
 
 def test_long_path_needs_no_recursion():
@@ -278,7 +355,7 @@ def test_one_contraction_step_preserves_results():
             continue
         u = rng.choice(pendants)
         wt = WeightedTree(t, {v: ParityDegreeVector.initial(k) for v in t.vertices})
-        contracted = fold_pendant(wt, u, partial(leaf_update_bc, k=k))
+        contracted = fold_pendant(wt, u, partial(parity_fold, k=k))
         assert rooted_parity_vectors(contracted, k, root) == rooted_parity_vectors(
             t, k, root
         )

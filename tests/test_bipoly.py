@@ -1,7 +1,8 @@
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from subtreecount import (
@@ -198,6 +199,41 @@ def test_sum_shares_a_lone_operand(items):
         assert total is (nonzero[0] if nonzero else ZERO)
     assert BiPoly.sum([total, *items, total]) == folded + folded + folded
     assert [poly.terms() for poly in items] == before
+
+
+@given(sum_operands(), st.randoms(use_true_random=False))
+def test_sum_and_add_do_not_depend_on_operand_order(items, rng):
+    # Both copy the larger operand, so order sets neither result nor cost.
+    before = [poly.terms() for poly in items]
+    total = BiPoly.sum(items)
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    assert BiPoly.sum(shuffled) == total
+    for a in items:
+        for b in shuffled:
+            assert a + b == b + a
+    nonzero = [poly for poly in shuffled if poly]
+    if len(nonzero) == 1:
+        assert BiPoly.sum(shuffled) is nonzero[0]
+        assert nonzero[0] + ZERO is nonzero[0] and ZERO + nonzero[0] is nonzero[0]
+    assert [poly.terms() for poly in items] == before
+
+
+class _Unwalked(dict):
+    """A term dict that may be copied whole but not walked term by term."""
+
+    def items(self):
+        raise AssertionError("the operand with more terms was walked")
+
+
+@given(polys, polys)
+def test_sum_and_add_walk_only_the_smaller_operand(a, b):
+    small, big = sorted((a, b), key=lambda p: len(p.terms()))
+    assume(len(small.terms()) < len(big.terms()))
+    watched = BiPoly._raw(_Unwalked(big.terms()))
+    expected = BiPoly(dict(Counter(small.terms()) + Counter(big.terms())))
+    assert small + watched == watched + small == expected
+    assert BiPoly.sum([small, watched]) == BiPoly.sum([watched, ZERO, small]) == expected
 
 
 def test_shared_constants_survive_counts():

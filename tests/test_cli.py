@@ -237,15 +237,15 @@ def test_every_count_calls_the_folds_through_their_module_bindings(
         monkeypatch.setattr(module, name, wrapper)
 
     record(subtree_enum, "leaf_update_subtree")
-    record(bc_enum, "leaf_update_bc")
     record(bc_enum, "rooted_parity_vectors")
     t = random_tree(9, 5)
     a, b = t.vertices[0], t.vertices[1]
     tree_file = tmp_path / "t.txt"
     tree_file.write_text("".join(f"{u} {v}\n" for u, v in t.edges))
+    # BC counts run the plain fold once per colour class.
     fold = {"leaf_update_subtree"}
-    bc_fold = {"leaf_update_bc"}
-    rooted = {"leaf_update_bc", "rooted_parity_vectors"}
+    bc_fold = fold
+    rooted = {"leaf_update_subtree", "rooted_parity_vectors"}
     for run_case, expected in [
         (lambda: sc.count_all(t, 3), fold),
         (lambda: sc.count_containing(t, 3, a), fold),
