@@ -106,15 +106,16 @@ def _colour_passes(wt: WeightedTree, first: str) -> list[WeightedTree]:
     """The two colour passes of ``wt``, the pass of ``first``'s colour first.
 
     In the pass of colour c, a vertex of colour c carries its even row with
-    lo = 0 and every other vertex its odd row with lo = 1.
+    lo = 0 and every other vertex its odd row with lo = 1.  The colours are
+    the depth parities of the tree's own walk (``Tree._first_walk``).
     """
-    order, parent = wt.tree._walk(first)
-    own = {first: True}
+    order, parent = wt.tree._first_walk
+    colour = {order[0]: True}
     for v in order[1:]:
-        own[v] = not own[parent[v]]
+        colour[v] = not colour[parent[v]]
     vectors = wt._vertex_weights.items()
-    return [wt._reweighted({v: vec._own if own[v] is c else vec._other for v, vec in vectors})
-            for c in (True, False)]
+    return [wt._reweighted({v: vec._own if colour[v] is c else vec._other for v, vec in vectors})
+            for c in (colour[first], not colour[first])]
 
 
 def _tops(vec: ParityDegreeVector, k: int) -> BiPoly:
@@ -190,11 +191,10 @@ def count_bc_containing_pair(
     t: Tree | WeightedTree, k: int, vi: str, vj: str
 ) -> BiPoly:
     """Generating function of BC-subtrees containing both vi and vj: the
-    plain pair count (``subtree_enum._pair_product``) in each colour pass,
-    whose ends are read from their own lo."""
+    plain pair count (``subtree_enum._pair_product``) over both colour
+    passes, whose ends are read from their own lo."""
     wt, k = as_weighted(t, k, ParityDegreeVector)
-    path = wt.tree.path_between(vi, vj)
-    return BiPoly.sum(_pair_product(p, k, path) for p in _colour_passes(wt, vi))
+    return _pair_product(_colour_passes(wt, vi), k, wt.tree.path_between(vi, vj))
 
 
 def count_bc_exact_degree(

@@ -14,21 +14,20 @@ Values are immutable after construction and all operations return new
 instances, so instances may be shared freely between concurrent runs.
 
 A product with a one-term operand shifts the other operand's exponents and
-scales its coefficients; a product with ONE returns the other operand.  Other small products run a double loop over term
-pairs.  Large operands are multiplied by Kronecker substitution, so that
-CPython's big integer multiplication (Karatsuba) does the inner loop: each
-operand's terms are grouped into rows (one diagonal ``dz - dy`` each, or
-one ``dy`` each, whichever gives the larger operand fewer rows;
-plain-subtree polynomials lie on one diagonal and become one row), each
-row is packed into one int with one byte-aligned slot per exponent, every
-pair of rows is multiplied, and each product is added into row ``r1 + r2``
-and unpacked slot by slot.  The slot width is exact, not a guess:
-coefficients are never negative, so every coefficient of the product, and
-every partial sum of row products, is at most ``eval(a) * eval(b)`` (the
-product of the coefficient sums), and a slot of
-``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes holds it without a
-carry into the next slot.  Which path runs depends only on the operands'
-shape (see ``_PACK_MIN_TERMS``); all give the same dict.
+scales its coefficients; a product with ONE returns the other operand.
+Other small products run a double loop over term pairs.  Large operands
+are multiplied by Kronecker substitution, so that CPython's big integer
+multiplication (Karatsuba) does the inner loop: each operand's terms are
+grouped into rows, one diagonal ``dz - dy`` each (a plain-subtree
+polynomial is one row), each row is packed into one int with one
+byte-aligned slot per ``dy``, every pair of rows is multiplied, and each
+product is added into row ``r1 + r2`` and unpacked slot by slot.  The
+slot width is exact, not a guess: coefficients are never negative, so
+every coefficient of the product, and every partial sum of row products,
+is at most ``eval(a) * eval(b)`` (the product of the coefficient sums),
+and ``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes hold it without a
+carry.  Which path runs depends only on the operands' shape (see
+``_PACK_MIN_TERMS``); all give the same dict.
 
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
@@ -160,12 +159,9 @@ class BiPoly:
             shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
             return BiPoly._raw(shifted)
         if len(a) >= _PACK_MIN_TERMS <= len(b):
-            big = a if len(a) >= len(b) else b
-            by_line, by_dy = _row_count(big, True), _row_count(big, False)
-            line = by_line <= by_dy
-            row_pairs = min(by_line, by_dy) * _row_count(b if big is a else a, line)
-            if len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * row_pairs:
-                return BiPoly._raw(_mul_packed(a, b, line))
+            rows_a, rows_b = ({dz - dy for dy, dz in terms} for terms in (a, b))
+            if len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * len(rows_a) * len(rows_b):
+                return BiPoly._raw(_mul_packed(a, b))
         return BiPoly._raw(_mul_dict(a, b))
 
     @staticmethod
@@ -312,23 +308,16 @@ def _mul_dict(a: dict, b: dict) -> dict:
     return acc
 
 
-def _row_count(terms: dict, line: bool) -> int:
-    """Rows of ``terms`` when grouped by ``dz - dy`` (``line``) or by ``dy``."""
-    return len({dz - dy if line else dy for dy, dz in terms})
-
-
-def _packed_rows(terms: dict, line: bool, width: int) -> dict[int, tuple[int, int]]:
+def _packed_rows(terms: dict, width: int) -> dict[int, tuple[int, int]]:
     """Group ``terms`` into rows and pack each row into one int.
 
-    With ``line`` a row is one diagonal ``dz - dy`` and a term's slot is its
-    ``dy``; otherwise a row is one ``dy`` and the slot is ``dz``.  Returns
-    row -> (lowest slot, packed int), slot s of the row at bytes
+    A row is one diagonal ``dz - dy`` and a term's slot is its ``dy``.
+    Returns row -> (lowest slot, packed int), slot s of the row at bytes
     ``(s - lowest) * width`` onwards, little-endian.
     """
     rows: dict[int, dict[int, int]] = {}
     for (dy, dz), coeff in terms.items():
-        row, slot = (dz - dy, dy) if line else (dy, dz)
-        rows.setdefault(row, {})[slot] = coeff
+        rows.setdefault(dz - dy, {})[dy] = coeff
     packed = {}
     for row, slots in rows.items():
         lowest = min(slots)
@@ -340,19 +329,19 @@ def _packed_rows(terms: dict, line: bool, width: int) -> dict[int, tuple[int, in
     return packed
 
 
-def _mul_packed(a: dict, b: dict, line: bool) -> dict:
+def _mul_packed(a: dict, b: dict) -> dict:
     """Product of two term dicts by Kronecker substitution, row by row.
 
-    Gives the same dict as ``_mul_dict`` for either ``line``; the slot
-    width cannot carry (see the module docstring).
+    Gives the same dict as ``_mul_dict``; the slot width cannot carry (see
+    the module docstring).
     """
     width = ((sum(a.values()) * sum(b.values())).bit_length() + 7) // 8
     if not width:  # an operand is zero
         return {}
     bits = 8 * width
-    rows_b = _packed_rows(b, line, width)
+    rows_b = _packed_rows(b, width)
     sums: dict[int, tuple[int, int]] = {}  # row -> (lowest slot, packed sum)
-    for ra, (la, va) in _packed_rows(a, line, width).items():
+    for ra, (la, va) in _packed_rows(a, width).items():
         for rb, (lb, vb) in rows_b.items():
             row, lowest, value = ra + rb, la + lb, va * vb
             prev = sums.get(row)
@@ -370,7 +359,7 @@ def _mul_packed(a: dict, b: dict, line: bool) -> dict:
             coeff = int.from_bytes(data[i * width : (i + 1) * width], "little")
             if coeff:
                 slot = lowest + i
-                acc[(slot, slot + row) if line else (row, slot)] = coeff
+                acc[(slot, slot + row)] = coeff
     return acc
 
 

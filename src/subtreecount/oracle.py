@@ -309,6 +309,10 @@ def oracle_count(
     require_int(k, least_k(family))
     anchors = check_anchors(t, anchors)
     need = set(anchors)
+    if vertex_weights is None:
+        # Default vectors only ask whether a degree is at most k, and none
+        # exceeds n - 1: every k from n - 1 up counts alike, with short vectors.
+        k = max(least_k(family), min(k, len(t.vertices) - 1))
     if vertex_weights is None and edge_weights is None:
         pairs = _default_weights_by_witness(t, k, family)
         return BiPoly.sum(poly for members, poly in pairs if need <= members)

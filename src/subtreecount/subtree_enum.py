@@ -83,7 +83,7 @@ class DegreeVector:
     family = "subtree"
 
     def __init__(self, entries: Sequence[BiPoly]):
-        self.entries = entries if type(entries) is _Product else tuple(entries)
+        self.entries = tuple(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
         self._lo = 0
@@ -206,23 +206,32 @@ def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
 def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> BiPoly:
     """Generating function of subtrees containing both vi and vj."""
     wt, k = as_weighted(t, k, DegreeVector)
-    return _pair_product(wt, k, wt.tree.path_between(vi, vj))
+    return _pair_product([wt], k, wt.tree.path_between(vi, vj))
 
 
-def _pair_product(wt: WeightedTree, k: int, path: Sequence[str]) -> BiPoly:
-    """The pair count from one contraction onto the ends of ``path``.
+def _pair_product(passes: Sequence[WeightedTree], k: int, path: Sequence[str]) -> BiPoly:
+    """The pair count from one contraction per pass onto the ends of ``path``.
 
     Only the path remains.  Any counted subtree contains all of it, so it
     decomposes into independent choices hanging off each path vertex: the
     ends spend one degree unit on the path (entries lo..k-1), interior
     vertices two (entries 0..k-2; they are no leaves, so lo cannot bind).
+    The passes (plain, or one per colour class) share their edge weights,
+    so those multiply the sum of the passes' vertex products once.
     """
-    vectors = _contract(wt, k, frozenset([path[0], path[-1]]))
-    ends = (vectors[path[0]], vectors[path[-1]])
-    factors = [end.sum_range(end._lo, k - 1) for end in ends]
-    factors += [vectors[u].sum_range(0, k - 2) for u in path[1:-1]]
-    factors += [wt.edge_weight(a, b) for a, b in zip(path, path[1:])]
-    # Pairwise, up a balanced tree, not each onto a product of about n terms.
+    ends = frozenset([path[0], path[-1]])
+    products = []
+    for wt in passes:
+        vectors = _contract(wt, k, ends)
+        factors = [vectors[u].sum_range(vectors[u]._lo, k - 1) for u in (path[0], path[-1])]
+        factors += [vectors[u].sum_range(0, k - 2) for u in path[1:-1]]
+        products.append(_balanced_product(factors))
+    edges = [passes[0].edge_weight(a, b) for a, b in zip(path, path[1:])]
+    return BiPoly.sum(products) * _balanced_product(edges)
+
+
+def _balanced_product(factors: list[BiPoly]) -> BiPoly:
+    """Pairwise, up a balanced tree, not each onto a product of about n terms."""
     while len(factors) > 1:
         pairs = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
         factors = pairs + factors[2 * len(pairs) :]

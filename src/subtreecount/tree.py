@@ -12,7 +12,9 @@ the underlying polynomials are immutable and shared.  The elimination
 order depends only on the tree and the survivors, so a Tree caches the
 last one beside its centroid, and the two colour passes of a BC count, the
 cap-(k-1) count of an exact-degree count and a sweep's per-k counts replay
-it.
+it.  A Tree walks itself once, breadth-first from its first vertex, when it
+is built: that walk checks that it is connected, and it is kept, so its
+centroid and its 2-colouring (by depth parity) are read off it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class Tree:
     """A labeled, connected, acyclic undirected graph."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_centroid", "_order")
+    __slots__ = ("_vertices", "_edges", "_adj", "_first_walk", "_centroid", "_order")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         verts = tuple(_check_label(v) for v in vertices)
@@ -79,19 +81,14 @@ class Tree:
             raise NotATree(
                 f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(norm)}"
             )
-        # Edge count is right, so connectivity implies acyclicity.
-        reached = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != len(verts):
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
+        # Edge count is right, so connectivity implies acyclicity.  The walk
+        # is kept: the centroid and the 2-colouring are read off it.
+        self._first_walk = self._walk(verts[0])
+        if len(self._first_walk[0]) != len(verts):
             raise NotATree("edge list is disconnected")
         self._vertices = verts
         self._edges = tuple(norm)
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._centroid: str | None = None
         self._order: tuple[frozenset[str], list] | None = None
 
@@ -125,13 +122,13 @@ class Tree:
     def centroid(self) -> str:
         """A vertex whose removal leaves no component of more than n/2 vertices.
 
-        Found by one walk: root at the first vertex, size every branch, then
+        Read off the tree's walk from its first vertex: size every branch, then
         step from the root into a branch of more than n/2 vertices while there
         is one.  Computed once per tree, since trees are immutable.
         """
         if self._centroid is None:
             adj, root = self._adj, self._vertices[0]
-            order, parent = self._walk(root)
+            order, parent = self._first_walk
             size = dict.fromkeys(order, 1)
             for v in reversed(order[1:]):
                 size[parent[v]] += size[v]
@@ -145,8 +142,8 @@ class Tree:
         return self._centroid
 
     def _walk(self, root: str) -> tuple[list[str], dict[str, str]]:
-        """The vertices in breadth-first order from ``root``, and each one's
-        parent on the way (root's parent is root)."""
+        """The vertices reached breadth-first from ``root``, in that order,
+        and each one's parent on the way (root's parent is root)."""
         parent, order = {root: root}, [root]
         for v in order:
             for w in self._adj[v]:

@@ -272,16 +272,14 @@ small_factors = st.sampled_from([{}, {(0, 0): 1}, {(3, 1): 2**70 + 1}, {(0, 2): 
 @example({(i, i): 2**64 + i for i in range(8)}, {(i, i + 1): 1 for i in range(8)})
 def test_packed_product_matches_dict_product(a, b):
     expected = _mul_dict(a, b)
-    assert _mul_packed(a, b, True) == expected
-    assert _mul_packed(a, b, False) == expected
+    assert _mul_packed(a, b) == expected
     assert (BiPoly(a) * BiPoly(b)).terms() == expected
 
 
 @given(operands, small_factors)
 def test_packed_product_with_zero_one_and_monomials(a, m):
     expected = _mul_dict(a, m)
-    assert _mul_packed(a, m, True) == expected == _mul_packed(m, a, True)
-    assert _mul_packed(a, m, False) == expected == _mul_packed(m, a, False)
+    assert _mul_packed(a, m) == expected == _mul_packed(m, a)
     assert BiPoly(a) * ZERO == ZERO and BiPoly(a) * ONE == BiPoly(a)
 
 
@@ -315,9 +313,9 @@ def test_product_with_one_shares_the_other_operand(p):
 def _count_packed(monkeypatch):
     calls = []
 
-    def counted(a, b, line):
-        calls.append(line)
-        return _mul_packed(a, b, line)
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return _mul_packed(a, b)
 
     monkeypatch.setattr(bipoly, "_mul_packed", counted)
     return calls
@@ -327,14 +325,13 @@ def test_mul_packs_only_long_rows(monkeypatch):
     calls = _count_packed(monkeypatch)
     line = BiPoly({(i, i + 2): i + 1 for i in range(20)})
     assert line * line == BiPoly(_mul_dict(line.terms(), line.terms()))
-    assert calls == [True]  # one diagonal: a single row along dy
+    assert calls == [(20, 20)]  # one diagonal: a single row along dy
     line * Z  # a monomial factor never packs
     scattered = BiPoly({(i, (7 * i) % 30): 1 for i in range(30)})
     scattered * scattered  # 9 diagonals of about 3 terms: too few pairs per row pair
-    assert calls == [True]
     columns = BiPoly({(i % 2, i): 1 for i in range(40)})
-    columns * columns  # 2 rows by dy, 20 by diagonal
-    assert calls == [True, False]
+    columns * columns  # 20 diagonals of 2 terms: too few pairs per row pair
+    assert calls == [(20, 20)]
 
 
 def test_packed_path_is_exact_past_64_bits(monkeypatch):

@@ -135,17 +135,21 @@ def test_rooted_parity_vectors_keep_length_k_plus_one():
             assert vec == rooted_parity_vectors(full, k, root)
 
 
-@pytest.mark.parametrize("command", ["subtrees", "bc"])
+@pytest.mark.parametrize(
+    "command",
+    [["subtrees"], ["bc"], ["oracle", "--family", "subtree"], ["oracle", "--family", "bc"]],
+    ids=["subtrees", "bc", "oracle-subtree", "oracle-bc"],
+)
 def test_a_huge_cap_counts_like_the_maximum_degree(capsys, tmp_path, command):
     t = ENSEMBLE[-1]
     tree_file = tmp_path / "t.txt"
     tree_file.write_text("".join(f"{u} {v}\n" for u, v in t.edges))
-    top = max(t.max_degree(), LEAST_K["bc" if command == "bc" else "subtree"])
-    assert main([command, "--k", str(top), str(tree_file)]) == 0
+    top = max(t.max_degree(), LEAST_K["bc" if "bc" in command else "subtree"])
+    assert main([*command, "--k", str(top), str(tree_file)]) == 0
     expected = capsys.readouterr().out
     tracemalloc.start()
     try:
-        code = main([command, "--k", "1000000000", str(tree_file)])
+        code = main([*command, "--k", "1000000000", str(tree_file)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

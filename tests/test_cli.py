@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import subtreecount as sc
 from subtreecount import BiPoly, bc_enum, parse_edge_list, random_tree, subtree_enum
@@ -207,6 +211,49 @@ def test_non_utf8_input_is_a_data_error(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+#: Edge-list texts built from a few labels, whole edges, and characters
+#: that str.split or str.splitlines treats specially, plus '#' and NUL.
+edge_list_bytes = st.lists(
+    st.sampled_from(
+        ["a", "b", "c", "dd", "a b\n", "b c\n", " ", "\t", "\r", "\x0b", "\x1c", "#", "\x00", "\n"]
+    ),
+    max_size=40,
+).map(lambda pieces: "".join(pieces).encode("utf-8"))
+
+ADVERSARIAL_COMMANDS = (
+    ["subtrees", "--k", "2"],
+    ["bc", "--k", "2", "--contains", "a"],
+    ["oracle", "--k", "2"],
+    ["subtrees", "--k", "3", "--exact-degree"],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_list_bytes)
+@example(b"a b\na b\n")  # a duplicate edge
+@example(b"a a\n")  # a self-loop
+@example(b"a b\nb c\nc a\n")  # a cycle
+@example(b"a b\nc dd\n")  # disconnected
+@example(b"a " + b"b" * 99_998 + b"\n")  # a 100,000-character line
+@example(b"a\nb c\n")  # a lone label beside pairs
+@example(b"a b\n\xff c\n")  # not UTF-8
+def test_adversarial_edge_lists_exit_cleanly(tmp_path_factory, data):
+    tree_file = tmp_path_factory.getbasetemp() / "adversarial.txt"
+    tree_file.write_bytes(data)
+    try:
+        parse_edge_list(data.decode("utf-8"))
+        parses = True
+    except (UnicodeDecodeError, sc.SubtreeCountError):
+        parses = False
+    for command in ADVERSARIAL_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(tree_file)])
+        assert code in (0, 1, 2), (command, data)
+        assert code != 0 or parses, (command, data)
+        assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])

@@ -295,3 +295,24 @@ def test_counting_modes_build_no_tree(monkeypatch):
     count_bc_containing_pair(t, 3, a, b)
     count_bc_exact_degree(t, 3)
     assert built == []
+
+
+def test_a_tree_walks_itself_once(monkeypatch):
+    # The walk that checks connectivity also gives the centroid and the
+    # 2-colouring of every BC count.
+    walks = []
+    original = Tree._walk
+
+    def counting_walk(self, root):
+        walks.append(root)
+        return original(self, root)
+
+    monkeypatch.setattr(Tree, "_walk", counting_walk)
+    t = random_tree(60, 7)
+    mid = t.vertices[len(t.vertices) // 2]
+    t.centroid()
+    count_bc_all(t, 3)
+    count_bc_containing(t, 3, mid)
+    count_bc_exact_degree(t, 3)
+    count_bc_exact_degree(t, 3, (mid,))
+    assert walks == [t.vertices[0]]
