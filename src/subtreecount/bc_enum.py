@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
-from .subtree_enum import range_sum
-from .tree import Tree, WeightedTree, as_weighted, check_anchors
+from .subtree_enum import range_sum, _require_polys
+from .tree import Tree, WeightedTree, as_weighted
 
 
 class ParityDegreeVector:
@@ -56,6 +56,7 @@ class ParityDegreeVector:
                 f"odd/even vectors must have equal positive length, "
                 f"got {len(odd)} and {len(even)}"
             )
+        _require_polys(odd + even)
         self._own, self._other = DegreeVector._row(even, 0), DegreeVector._row(odd, 1)
 
     @property
@@ -149,8 +150,7 @@ def rooted_parity_vectors(
     that can bind (see ``tree.as_weighted``), so those rows may be shorter
     than k+1; the result is padded with zeros to length k+1.
     """
-    wt, cap = as_weighted(t, k, ParityDegreeVector, full_rows=True)
-    check_anchors(wt.tree, (root,))
+    wt, cap, _ = as_weighted(t, k, ParityDegreeVector, (root,), full_rows=True)
     keep = frozenset([root])
     own, other = (_contract(p, cap, keep, finished)[root].entries for p in _colour_passes(wt, root))
     pad = (ZERO,) * (k - cap)
@@ -167,7 +167,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     root (see ``WeightedTree.contract``); counted at their top vertices,
     the results do not depend on the root or the elimination order.
     """
-    wt, k = as_weighted(t, k, ParityDegreeVector)
+    wt, k, _ = as_weighted(t, k, ParityDegreeVector)
     total = _RunningSum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.centroid(), finished=lambda row, lo: total.add(range_sum(row, lo + 1, k))
@@ -183,7 +183,7 @@ def count_bc_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     comes from v's final vector pair alone, less what custom input vectors
     of v count on their own.  An isolated v counts nothing.
     """
-    wt, k = as_weighted(t, k, ParityDegreeVector)
+    wt, k, _ = as_weighted(t, k, ParityDegreeVector, (v,))
     return _tops(rooted_parity_vectors(wt, k, v), k) - _bare(wt, k, [v])
 
 
@@ -193,7 +193,7 @@ def count_bc_containing_pair(
     """Generating function of BC-subtrees containing both vi and vj: the
     plain pair count (``subtree_enum._pair_product``) over both colour
     passes, whose ends are read from their own lo."""
-    wt, k = as_weighted(t, k, ParityDegreeVector)
+    wt, k, _ = as_weighted(t, k, ParityDegreeVector, (vi, vj))
     return _pair_product(_colour_passes(wt, vi), k, wt.tree.path_between(vi, vj))
 
 

@@ -159,8 +159,12 @@ class BiPoly:
             shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
             return BiPoly._raw(shifted)
         if len(a) >= _PACK_MIN_TERMS <= len(b):
-            rows_a, rows_b = ({dz - dy for dy, dz in terms} for terms in (a, b))
-            if len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * len(rows_a) * len(rows_b):
+            (rows_a, slots_a), (rows_b, slots_b) = _row_shape(a), _row_shape(b)
+            if (
+                len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * rows_a * rows_b
+                and slots_a <= 2 * len(a)
+                and slots_b <= 2 * len(b)
+            ):
                 return BiPoly._raw(_mul_packed(a, b))
         return BiPoly._raw(_mul_dict(a, b))
 
@@ -291,7 +295,10 @@ class _RunningSum:
 # (CHANGES.md has the table), packing lost to the dict loop whenever the
 # smaller operand had fewer than 8 terms (a monomial edge weight times a
 # long row is the common case) and on 2-D operands with few term pairs
-# per row pair, and won above both limits.
+# per row pair, and won above both limits.  A packed row also holds a
+# slot for every exponent between its terms, so an operand packs only
+# while its rows span at most two slots per term: far-apart exponents
+# would cost time and memory in proportion to their gaps.
 _PACK_MIN_TERMS = 8
 _PACK_MIN_PAIRS_PER_ROW_PAIR = 16
 
@@ -306,6 +313,15 @@ def _mul_dict(a: dict, b: dict) -> dict:
             key = (ay + by, az + bz)
             acc[key] = acc.get(key, 0) + ac * bc
     return acc
+
+
+def _row_shape(terms: dict) -> tuple[int, int]:
+    """How many rows ``terms`` falls into (see ``_packed_rows``), and how
+    many slots those rows span in all."""
+    rows: dict[int, list[int]] = {}
+    for dy, dz in terms:
+        rows.setdefault(dz - dy, []).append(dy)
+    return len(rows), sum(max(slots) - min(slots) + 1 for slots in rows.values())
 
 
 def _packed_rows(terms: dict, width: int) -> dict[int, tuple[int, int]]:

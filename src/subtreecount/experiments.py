@@ -47,7 +47,7 @@ def _unit_count(t: Tree, k: int, family: str) -> int:
         vector_type, count = ParityDegreeVector, count_bc_all
     else:
         vector_type, count = DegreeVector, count_all
-    wt, cap = as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
+    wt, cap, _ = as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
     return count(wt, cap).eval_counts()
 
 

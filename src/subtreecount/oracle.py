@@ -30,7 +30,7 @@ from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, TooLarge, UnknownVertex
 from .tree import Tree, check_anchors, edge_key, least_k, require_int
 
-#: Default cap for oracle inputs; enumeration is exponential in n.
+#: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
 
 ParityWeights = tuple[Sequence[BiPoly], Sequence[BiPoly]]
@@ -293,6 +293,14 @@ def _default_weights_by_witness(
     return tuple(out)
 
 
+def _checked(t: Tree, k: int, family: str, anchors: Sequence[str]) -> tuple[str, ...]:
+    """The oracle's door: n, then k, then the anchors; returns the anchors."""
+    if len(t.vertices) > ORACLE_MAX_VERTICES:
+        raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {ORACLE_MAX_VERTICES}")
+    require_int(k, least_k(family))
+    return check_anchors(t, anchors)
+
+
 def oracle_count(
     t: Tree,
     k: int,
@@ -301,14 +309,10 @@ def oracle_count(
     *,
     vertex_weights=None,
     edge_weights=None,
-    max_vertices: int = ORACLE_MAX_VERTICES,
 ) -> BiPoly:
-    """Sum of definitional weights over all witnesses containing the anchors."""
-    if len(t.vertices) > max_vertices:
-        raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {max_vertices}")
-    require_int(k, least_k(family))
-    anchors = check_anchors(t, anchors)
-    need = set(anchors)
+    """Sum of definitional weights over all witnesses containing the anchors.
+    Checks n, then k, then the anchors (``_checked``) before any work."""
+    need = set(_checked(t, k, family, anchors))
     if vertex_weights is None:
         # Default vectors only ask whether a degree is at most k, and none
         # exceeds n - 1: every k from n - 1 up counts alike, with short vectors.
@@ -330,14 +334,11 @@ def rooted_parity_sums(
     *,
     vertex_weights=None,
     edge_weights=None,
-    max_vertices: int = ORACLE_MAX_VERTICES,
 ) -> tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]]:
     """Definitional sums of the rooted parity weights over all witnesses
-    containing ``root``: one odd and one even vector, indexed by root degree."""
-    if len(t.vertices) > max_vertices:
-        raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {max_vertices}")
-    require_int(k, least_k("bc"))
-    check_anchors(t, (root,))
+    containing ``root``: one odd and one even vector, indexed by root degree.
+    Checks n, then k, then the root (``_checked``) before any work."""
+    _checked(t, k, "bc", (root,))
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)
     for w in enumerate_connected_subtrees(t):

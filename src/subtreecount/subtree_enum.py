@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
-from .errors import LengthMismatch
-from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
+from .errors import InvalidArgument, LengthMismatch
+from .tree import Tree, WeightedTree, as_weighted, least_k, require_int
 
 
 class _Product(tuple):
@@ -67,13 +67,19 @@ def exact_degree(
     bind on a plain Tree it is zero: no subtree has that maximum degree.
     """
     require_int(k, least_k(vector_type.family) + 1)
-    wt, cap = as_weighted(t, k, vector_type)
-    anchors = check_anchors(wt.tree, anchors)
+    wt, cap, anchors = as_weighted(t, k, vector_type, anchors)
     if cap < k:
         return ZERO
     count = modes[len(anchors)]
     lower = t if isinstance(t, Tree) else wt.truncated()
     return count(wt, k, *anchors) - count(lower, k - 1, *anchors)
+
+
+def _require_polys(entries: Sequence[object]) -> None:
+    """Check that every vector entry is a BiPoly; raise InvalidArgument if not."""
+    for entry in entries:
+        if not isinstance(entry, BiPoly):
+            raise InvalidArgument(f"vector entries must be BiPoly, got {entry!r}")
 
 
 class DegreeVector:
@@ -86,6 +92,7 @@ class DegreeVector:
         self.entries = tuple(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
+        _require_polys(self.entries)
         self._lo = 0
 
     @classmethod
@@ -188,7 +195,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     subtree is counted once, at the first of its vertices to be eliminated
     (or at the survivor), from that vertex's downward vector.
     """
-    wt, k = as_weighted(t, k, DegreeVector)
+    wt, k, _ = as_weighted(t, k, DegreeVector)
     total = _RunningSum()
     survivors = _contract(wt, k, frozenset(), lambda row, lo: total.add(range_sum(row, 0, k)))
     (last,) = survivors.values()
@@ -198,14 +205,13 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
 
 def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
-    wt, k = as_weighted(t, k, DegreeVector)
-    check_anchors(wt.tree, (v,))
+    wt, k, _ = as_weighted(t, k, DegreeVector, (v,))
     return _contract(wt, k, frozenset([v]))[v].sum_range(0, k)
 
 
 def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> BiPoly:
     """Generating function of subtrees containing both vi and vj."""
-    wt, k = as_weighted(t, k, DegreeVector)
+    wt, k, _ = as_weighted(t, k, DegreeVector, (vi, vj))
     return _pair_product([wt], k, wt.tree.path_between(vi, vj))
 
 

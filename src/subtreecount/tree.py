@@ -39,7 +39,7 @@ from .errors import (
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ParseError(f"vertex label must be a non-empty string, got {label!r}")
-    if "#" in label or any(ch.isspace() for ch in label):
+    if "#" in label or label.split() != [label]:
         raise ParseError(f"vertex label {label!r} contains '#' or whitespace")
     return label
 
@@ -270,8 +270,6 @@ def random_tree(n: int, seed: int) -> Tree:
     labels = [f"v{i}" for i in range(1, n + 1)]
     if n == 1:
         return Tree(labels, [])
-    if n == 2:
-        return Tree(labels, [(labels[0], labels[1])])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     edges = [(labels[a], labels[b]) for a, b in prufer_decode(seq, n)]
@@ -294,8 +292,15 @@ class WeightedTree:
         if edge_weights is None:
             ew = {e: Z for e in tree.edges}
         else:
-            ew = {edge_key(*e): w for e, w in edge_weights.items()}
-            if set(ew) != set(tree.edges):
+            edges, ew = set(tree.edges), {}
+            for e, w in edge_weights.items():
+                key = e[::-1] if isinstance(e, tuple) and e not in edges else e
+                if key not in edges:
+                    raise InvalidArgument(f"edge-weight key {e!r} does not name an edge")
+                if not isinstance(w, BiPoly):
+                    raise InvalidArgument(f"edge weight of {e!r} is not a BiPoly: {w!r}")
+                ew[key] = w
+            if len(ew) != len(edges):
                 raise InvalidArgument("edge weights must cover every edge exactly")
         self.tree = tree
         self._vertex_weights = dict(vertex_weights)
@@ -388,45 +393,50 @@ def as_weighted(
     t: Tree | WeightedTree,
     k: int,
     vector_type,
+    anchors: Sequence[str] = (),
     full_rows: bool = False,
     vertex_weight: BiPoly = Y,
     edge_weight: BiPoly = Z,
-) -> tuple[WeightedTree, int]:
-    """``(wt, cap)``, k checked against the family's least cap first.
-
-    A WeightedTree comes back as it is, with cap = k, once its vectors are
-    checked to fit k.  For a Tree, cap is k clamped by ``_binding_cap``; ``wt``
-    has ``edge_weight`` on every edge and ``initial(cap, vertex_weight)`` at
-    every vertex, or, unless ``full_rows``, the product rows (subtree_enum)
-    where the degree is at most cap.  The vertices share these two vectors,
-    which count no bare vertex (``wt._starting``)."""
+) -> tuple[WeightedTree, int, tuple[str, ...]]:
+    """The door of every count: ``(wt, cap, anchors)``, once k (against the
+    family's least cap), then the anchors (``check_anchors``), then a
+    WeightedTree's vectors (each a ``vector_type`` fitting k) pass.  A
+    WeightedTree comes back as it is, with cap = k.  For a Tree, cap is k
+    clamped by ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge and
+    ``initial(cap, vertex_weight)`` at every vertex, or, unless ``full_rows``,
+    the product rows (subtree_enum) where the degree is at most cap.  The
+    vertices share these two vectors, which count no bare vertex (``_starting``)."""
     require_int(k, least_k(vector_type.family))
-    if isinstance(t, WeightedTree):
+    weighted = isinstance(t, WeightedTree)
+    anchors = check_anchors(t.tree if weighted else t, anchors)
+    if weighted:
         for v in t.tree.vertices:
             vec = t.vector(v)
             if not isinstance(vec, vector_type) or not vec._fits(k):
                 raise LengthMismatch(
                     f"vertex {v!r} needs a {vector_type.__name__} of length {k + 1}"
                 )
-        return t, k
+        return t, k, anchors
     cap = _binding_cap(t, k, vector_type.family)
     full = vector_type.initial(cap, vertex_weight)
     product = full if full_rows else vector_type._product(vertex_weight)
     start = {v: product if len(ns) <= cap else full for v, ns in t._adj.items()}
     wt = WeightedTree(t, start, dict.fromkeys(t.edges, edge_weight))
     wt._starting = True
-    return wt, cap
+    return wt, cap, anchors
 
 
 def check_anchors(t: Tree, anchors: Sequence[str]) -> tuple[str, ...]:
-    """``anchors`` as a tuple, once it is known to hold at most two vertices
-    of ``t``, and two distinct ones if two."""
-    if isinstance(anchors, str):
+    """``anchors`` as a tuple, once it is known to hold at most two labels,
+    each a vertex of ``t``, and two distinct ones if two."""
+    if isinstance(anchors, str) or not hasattr(anchors, "__iter__"):
         raise InvalidArgument(f"anchors must be a sequence of labels, got {anchors!r}")
     anchors = tuple(anchors)
     if len(anchors) > 2:
         raise TooManyAnchors(f"at most two anchors, got {len(anchors)}")
     for a in anchors:
+        if not isinstance(a, str):
+            raise InvalidArgument(f"an anchor must be a vertex label, got {a!r}")
         if a not in t:
             raise UnknownVertex(f"no vertex {a!r}")
     if len(anchors) == 2 and anchors[0] == anchors[1]:

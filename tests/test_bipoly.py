@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -331,6 +332,16 @@ def test_mul_packs_only_long_rows(monkeypatch):
     scattered * scattered  # 9 diagonals of about 3 terms: too few pairs per row pair
     columns = BiPoly({(i % 2, i): 1 for i in range(40)})
     columns * columns  # 20 diagonals of 2 terms: too few pairs per row pair
+    assert calls == [(20, 20)]
+    # One diagonal whose 8 terms span 7,001 slots: far too sparse to pack.
+    sparse = BiPoly({(i * 10**3, i * 10**3): 1 for i in range(8)})
+    assert sparse * sparse == BiPoly(_mul_dict(sparse.terms(), sparse.terms()))
+    assert calls == [(20, 20)]
+    # Packed, these would need billions of slots.
+    sparse = BiPoly({(i * 10**9, i * 10**9): i + 1 for i in range(8)})
+    start = time.perf_counter()
+    assert sparse * sparse == BiPoly(_mul_dict(sparse.terms(), sparse.terms()))
+    assert time.perf_counter() - start < 1.0
     assert calls == [(20, 20)]
 
 

@@ -191,6 +191,9 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     code, _, err = run(capsys, "subtrees", "--k", "2", str(cyclic))
     assert code == 2 and err
     assert run(capsys, "subtrees", "--k", "2", "--contains", "zz", path3_file)[0] == 2
+    no_zz = (2, "", "error: no vertex 'zz'\n")
+    for contains in ("zz,a", "a,zz"):  # the BC pair count checks both anchors first
+        assert run(capsys, "bc", "--k", "3", "--contains", contains, path3_file) == no_zz
     assert run(capsys, "subtrees", "--k", "2", "--contains", "a,a", path3_file)[0] == 2
     assert run(capsys, "bc", "--k", "1", path3_file)[0] == 2
     big = tmp_path / "big.txt"
@@ -227,6 +230,8 @@ ADVERSARIAL_COMMANDS = (
     ["bc", "--k", "2", "--contains", "a"],
     ["oracle", "--k", "2"],
     ["subtrees", "--k", "3", "--exact-degree"],
+    ["bc", "--k", "2", "--contains", "zz,a"],
+    ["subtrees", "--k", "2", "--contains", "a,b"],
 )
 
 
@@ -239,6 +244,7 @@ ADVERSARIAL_COMMANDS = (
 @example(b"a " + b"b" * 99_998 + b"\n")  # a 100,000-character line
 @example(b"a\nb c\n")  # a lone label beside pairs
 @example(b"a b\n\xff c\n")  # not UTF-8
+@example(b"a b\nb c\n")  # a path
 def test_adversarial_edge_lists_exit_cleanly(tmp_path_factory, data):
     tree_file = tmp_path_factory.getbasetemp() / "adversarial.txt"
     tree_file.write_bytes(data)
