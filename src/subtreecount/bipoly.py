@@ -254,10 +254,14 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, records: Iterable[Mapping]) -> "BiPoly":
+        """Inverse of ``to_json``.  Each of y, z and c must be an int (not a
+        bool) or a decimal string; anything else raises ParseError."""
+        if not isinstance(records, Iterable):
+            raise ParseError(f"a JSON polynomial is a list of term records, got {records!r}")
         acc: dict[tuple[int, int], int] = {}
         for rec in records:
             try:
-                dy, dz, coeff = int(rec["y"]), int(rec["z"]), int(rec["c"])
+                dy, dz, coeff = (_json_int(rec[name]) for name in "yzc")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad term record {rec!r}") from exc
             if dy < 0 or dz < 0 or coeff < 0:
@@ -267,6 +271,15 @@ class BiPoly:
             if coeff:
                 acc[(dy, dz)] = coeff
         return cls._raw(acc)
+
+
+def _json_int(value: object) -> int:
+    """An int, or the int a decimal string spells; TypeError otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.lstrip("-").isdigit():
+        return int(value)
+    raise TypeError(f"not an int or a decimal string: {value!r}")
 
 
 class _RunningSum:

@@ -1,12 +1,15 @@
 """Brute-force ground truth for every counting algorithm in this package.
 
 Everything here works straight from the defining weight products over an
-explicit enumeration of all connected subtrees, with no shortcuts shared
-with the contraction algorithms; only the argument checks of tree.py are
-shared.  It is deliberately slow and obviously correct; inputs are capped
-at a small vertex count.
+explicit enumeration of all connected subtrees.  It shares no counting
+code with the contraction algorithms (no fold, range sum or contraction):
+only the argument checks of tree.py and the weight containers
+(``WeightedTree``, ``DegreeVector``, ``ParityDegreeVector``), which it
+reads entry by entry.  It is deliberately slow and obviously correct;
+inputs are capped at a small vertex count.
 
-Weight conventions (defaults, overridable per call):
+Weight conventions (defaults for a plain Tree; a WeightedTree supplies
+its own, checked as every count checks them):
 
 * subtree family: each vertex carries the vector (y, 0, ..., 0) of length
   k+1; a subtree is weighted by the product over its vertices of the sum
@@ -24,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from .bc_enum import ParityDegreeVector
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, TooLarge, UnknownVertex
-from .tree import Tree, check_anchors, edge_key, least_k, require_int
+from .subtree_enum import DegreeVector
+from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
 
 #: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -129,22 +134,23 @@ def _parities_from(w: SubtreeWitness, start: str) -> dict[str, int]:
     return parity
 
 
-def _vertex_vec(weights, v: str, k: int) -> Sequence[BiPoly]:
+def _vertex_vec(weights: WeightedTree | None, v: str, k: int) -> Sequence[BiPoly]:
     if weights is None:
         return (Y,) + (ZERO,) * k
-    return weights[v]
+    return weights.vector(v).entries
 
 
-def _parity_vecs(weights, v: str, k: int) -> ParityWeights:
+def _parity_vecs(weights: WeightedTree | None, v: str, k: int) -> ParityWeights:
     if weights is None:
         return ((ONE,) + (ZERO,) * k, (Y,) + (ZERO,) * k)
-    return weights[v]
+    vec = weights.vector(v)
+    return vec.odd, vec.even
 
 
-def _edge_poly(weights, e: tuple[str, str]) -> BiPoly:
+def _edge_poly(weights: WeightedTree | None, e: tuple[str, str]) -> BiPoly:
     if weights is None:
         return Z
-    return weights[edge_key(*e)]
+    return weights.edge_weight(*e)
 
 
 def _entry_sum(vec: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
@@ -154,41 +160,33 @@ def _entry_sum(vec: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
     return BiPoly.sum(vec[max(lo, 0) : hi + 1])
 
 
-def subtree_weight(
-    w: SubtreeWitness,
-    k: int,
-    vertex_weights: Mapping[str, Sequence[BiPoly]] | None = None,
-    edge_weights: Mapping[tuple[str, str], BiPoly] | None = None,
-) -> BiPoly:
+def subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = None) -> BiPoly:
     """Definitional weight of one witness under the degree cap k.
 
     Product over vertices of the sum of vector entries 0 .. k - deg, times
     the product of edge weights.  A vertex over the cap contributes an
-    empty sum, zeroing the whole product.
+    empty sum, zeroing the whole product.  ``weights`` holds DegreeVectors;
+    None means the defaults.
     """
     acc = ONE
     for v in w.vertices:
-        acc = acc * _entry_sum(_vertex_vec(vertex_weights, v, k), 0, k - w.degree(v))
+        acc = acc * _entry_sum(_vertex_vec(weights, v, k), 0, k - w.degree(v))
         if not acc:
             return ZERO
     for e in w.edges:
-        acc = acc * _edge_poly(edge_weights, e)
+        acc = acc * _edge_poly(weights, e)
     return acc
 
 
-def bc_subtree_weight(
-    w: SubtreeWitness,
-    k: int,
-    vertex_weights: Mapping[str, ParityWeights] | None = None,
-    edge_weights: Mapping[tuple[str, str], BiPoly] | None = None,
-) -> BiPoly:
+def bc_subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = None) -> BiPoly:
     """Definitional BC weight of one witness.
 
     The vertex set splits into even/odd parity classes by distance to a
     fixed leaf.  Two alternative products are summed; leaf factors start
     their sums at entry 1, so any leaf in the wrong class kills its term.
     Witnesses with fewer than two edges are outside the BC family and
-    weigh zero.
+    weigh zero.  ``weights`` holds ParityDegreeVectors; None means the
+    defaults.
     """
     if len(w.edges) < 2:
         return ZERO
@@ -197,7 +195,7 @@ def bc_subtree_weight(
     even_term = ONE
     odd_term = ONE
     for v in w.vertices:
-        odd_vec, even_vec = _parity_vecs(vertex_weights, v, k)
+        odd_vec, even_vec = _parity_vecs(weights, v, k)
         cap = k - w.degree(v)
         if parity[v] == 0:  # even class
             even_term = even_term * _entry_sum(even_vec, 0, cap)
@@ -207,28 +205,23 @@ def bc_subtree_weight(
             odd_term = odd_term * _entry_sum(even_vec, 0, cap)
     acc = even_term + odd_term
     for e in w.edges:
-        acc = acc * _edge_poly(edge_weights, e)
+        acc = acc * _edge_poly(weights, e)
     return acc
 
 
 def _rooted_parity_base(
-    w: SubtreeWitness,
-    root: str,
-    k: int,
-    parity: str,
-    vertex_weights,
-    edge_weights,
+    w: SubtreeWitness, root: str, k: int, parity: str, weights: WeightedTree | None
 ) -> BiPoly:
     """The root-independent factor product of the rooted parity weight."""
     dist_parity = _parities_from(w, root)
     leaves = set(w.leaves)
     acc = ONE
     for e in w.edges:
-        acc = acc * _edge_poly(edge_weights, e)
+        acc = acc * _edge_poly(weights, e)
     for v in w.vertices:
         if v == root:
             continue
-        odd_vec, even_vec = _parity_vecs(vertex_weights, v, k)
+        odd_vec, even_vec = _parity_vecs(weights, v, k)
         cap = k - w.degree(v)
         # The leaves' class is the odd (even) distance class from root.
         if dist_parity[v] == (1 if parity == "odd" else 0):
@@ -246,8 +239,7 @@ def rooted_parity_weight(
     k: int,
     j: int,
     parity: str,
-    vertex_weights: Mapping[str, ParityWeights] | None = None,
-    edge_weights: Mapping[tuple[str, str], BiPoly] | None = None,
+    weights: WeightedTree | None = None,
 ) -> BiPoly:
     """Definitional rooted weight: the witness counts toward root degree j
     with every non-root leaf at odd (resp. even) distance from the root."""
@@ -257,7 +249,7 @@ def rooted_parity_weight(
         raise InvalidArgument(f"j must lie in 0..{k}, got {j}")
     if root not in w.vertices:
         raise UnknownVertex(f"{root!r} not in witness")
-    odd_vec, even_vec = _parity_vecs(vertex_weights, root, k)
+    odd_vec, even_vec = _parity_vecs(weights, root, k)
     root_vec = odd_vec if parity == "odd" else even_vec
     if len(w.vertices) == 1:
         return root_vec[j]
@@ -267,18 +259,20 @@ def rooted_parity_weight(
     root_factor = root_vec[shift]
     if not root_factor:
         return ZERO
-    return root_factor * _rooted_parity_base(w, root, k, parity, vertex_weights, edge_weights)
+    return root_factor * _rooted_parity_base(w, root, k, parity, weights)
 
 
-def _family_weight(w: SubtreeWitness, k: int, family: str, vw=None, ew=None) -> BiPoly:
+def _family_weight(
+    w: SubtreeWitness, k: int, family: str, weights: WeightedTree | None = None
+) -> BiPoly:
     # The BC sum ranges over the BC family only; with default weights the
     # weight of a non-BC witness vanishes anyway, but general weights need
     # the explicit membership filter.
     if family == "subtree":
-        return subtree_weight(w, k, vw, ew)
+        return subtree_weight(w, k, weights)
     if not is_bc(w):
         return ZERO
-    return bc_subtree_weight(w, k, vw, ew)
+    return bc_subtree_weight(w, k, weights)
 
 
 @lru_cache(maxsize=4096)
@@ -293,66 +287,68 @@ def _default_weights_by_witness(
     return tuple(out)
 
 
-def _checked(t: Tree, k: int, family: str, anchors: Sequence[str]) -> tuple[str, ...]:
-    """The oracle's door: n, then k, then the anchors; returns the anchors."""
-    if len(t.vertices) > ORACLE_MAX_VERTICES:
-        raise TooLarge(f"{len(t.vertices)} vertices exceeds the oracle bound {ORACLE_MAX_VERTICES}")
+def _checked(
+    t: Tree | WeightedTree, k: int, family: str, anchors: Sequence[str]
+) -> tuple[Tree, WeightedTree | None, tuple[str, ...]]:
+    """The oracle's door: n, then k, then the anchors, then a WeightedTree's
+    vectors, as every count checks them (``as_weighted``).  Returns the
+    tree, the custom weights (None for a plain Tree) and the anchors."""
+    weights = t if isinstance(t, WeightedTree) else None
+    tree = t if weights is None else weights.tree
+    n = len(tree.vertices)
+    if n > ORACLE_MAX_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the oracle bound {ORACLE_MAX_VERTICES}")
     require_int(k, least_k(family))
-    return check_anchors(t, anchors)
+    anchors = check_anchors(tree, anchors)
+    if weights is not None:
+        vector_type = DegreeVector if family == "subtree" else ParityDegreeVector
+        as_weighted(weights, k, vector_type, anchors)
+    return tree, weights, anchors
 
 
 def oracle_count(
-    t: Tree,
-    k: int,
-    family: str = "subtree",
-    anchors: Sequence[str] = (),
-    *,
-    vertex_weights=None,
-    edge_weights=None,
+    t: Tree | WeightedTree, k: int, family: str = "subtree", anchors: Sequence[str] = ()
 ) -> BiPoly:
     """Sum of definitional weights over all witnesses containing the anchors.
-    Checks n, then k, then the anchors (``_checked``) before any work."""
-    need = set(_checked(t, k, family, anchors))
-    if vertex_weights is None:
+    Checks n, then k, then the anchors, then custom weights (``_checked``)
+    before any work."""
+    tree, weights, anchors = _checked(t, k, family, anchors)
+    need = set(anchors)
+    if weights is None:
         # Default vectors only ask whether a degree is at most k, and none
         # exceeds n - 1: every k from n - 1 up counts alike, with short vectors.
-        k = max(least_k(family), min(k, len(t.vertices) - 1))
-    if vertex_weights is None and edge_weights is None:
-        pairs = _default_weights_by_witness(t, k, family)
+        k = max(least_k(family), min(k, len(tree.vertices) - 1))
+        pairs = _default_weights_by_witness(tree, k, family)
         return BiPoly.sum(poly for members, poly in pairs if need <= members)
     return BiPoly.sum(
-        _family_weight(w, k, family, vertex_weights, edge_weights)
-        for w in enumerate_connected_subtrees(t)
+        _family_weight(w, k, family, weights)
+        for w in enumerate_connected_subtrees(tree)
         if need <= set(w.vertices)
     )
 
 
 def rooted_parity_sums(
-    t: Tree,
-    k: int,
-    root: str,
-    *,
-    vertex_weights=None,
-    edge_weights=None,
+    t: Tree | WeightedTree, k: int, root: str
 ) -> tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]]:
     """Definitional sums of the rooted parity weights over all witnesses
     containing ``root``: one odd and one even vector, indexed by root degree.
-    Checks n, then k, then the root (``_checked``) before any work."""
-    _checked(t, k, "bc", (root,))
+    Checks n, then k, then the root, then custom weights (``_checked``)
+    before any work."""
+    tree, weights, _ = _checked(t, k, "bc", (root,))
+    odd_vec, even_vec = _parity_vecs(weights, root, k)
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)
-    for w in enumerate_connected_subtrees(t):
+    for w in enumerate_connected_subtrees(tree):
         if root not in w.vertices:
             continue
-        odd_vec, even_vec = _parity_vecs(vertex_weights, root, k)
         if len(w.vertices) == 1:
             for j in range(k + 1):
                 odd_out[j] = odd_out[j] + odd_vec[j]
                 even_out[j] = even_out[j] + even_vec[j]
             continue
         deg = w.degree(root)
-        odd_base = _rooted_parity_base(w, root, k, "odd", vertex_weights, edge_weights)
-        even_base = _rooted_parity_base(w, root, k, "even", vertex_weights, edge_weights)
+        odd_base = _rooted_parity_base(w, root, k, "odd", weights)
+        even_base = _rooted_parity_base(w, root, k, "even", weights)
         for j in range(deg, k + 1):
             if odd_base:
                 odd_out[j] = odd_out[j] + odd_vec[j - deg] * odd_base

@@ -65,9 +65,12 @@ class Tree:
         seen: set[tuple[str, str]] = set()
         norm: list[tuple[str, str]] = []
         for edge in edges:
-            u, v = edge
-            if u not in known or v not in known:
-                raise NotATree(f"edge ({u!r}, {v!r}) references an unknown vertex")
+            try:
+                u, v = edge
+                if u not in known or v not in known:
+                    raise NotATree(f"edge ({u!r}, {v!r}) references an unknown vertex")
+            except (TypeError, ValueError):
+                raise NotATree(f"edge {edge!r} is not a pair of vertex labels") from None
             if u == v:
                 raise NotATree(f"self-loop at {u!r}")
             key = edge_key(u, v)
@@ -245,6 +248,8 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
         raise InvalidArgument(f"sequence length must be n-2, got {len(seq)}")
     degree = [1] * n
     for x in seq:
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise InvalidArgument(f"sequence entries must be ints in 0..{n - 1}, got {x!r}")
         degree[x] += 1
     leaves = [i for i in range(n) if degree[i] == 1]
     heapq.heapify(leaves)

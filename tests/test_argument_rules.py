@@ -17,6 +17,7 @@ from subtreecount import (
     KTooSmall,
     LengthMismatch,
     ParityDegreeVector,
+    SubtreeCountError,
     TooLarge,
     UnknownVertex,
     WeightedTree,
@@ -187,20 +188,89 @@ def test_every_entry_point_rejects_bad_anchors_before_any_work(monkeypatch, name
                 call(t, anchors)
 
 
+def _degree_tree(t, entries):
+    return WeightedTree(t, {v: DegreeVector(entries) for v in t.vertices})
+
+
+def _parity_tree(t, odd, even):
+    return WeightedTree(t, {v: ParityDegreeVector(odd, even) for v in t.vertices})
+
+
+def _oracle_pair(t, k, *anchors):
+    return oracle_count(t, k, "subtree", anchors)
+
+
 def test_each_door_checks_k_then_anchors_then_weights():
+    # The oracle's doors check the tree's size before all of these.
     t = parse_edge_list(SPIDER)
-    short = WeightedTree(t, {v: DegreeVector([Y]) for v in t.vertices})
+    short = _degree_tree(t, [Y])
+    for count in (count_containing_pair, _oracle_pair):
+        with pytest.raises(KTooSmall):
+            count(short, -1, "zz", "a")
+        with pytest.raises(UnknownVertex):
+            count(short, 2, "zz", "a")
+        with pytest.raises(LengthMismatch):
+            count(short, 2, "a", "c")
+    short_parity = _parity_tree(t, [ONE], [Y])
     with pytest.raises(KTooSmall):
-        count_containing_pair(short, -1, "zz", "a")
+        rooted_parity_sums(short_parity, 1, "zz")
     with pytest.raises(UnknownVertex):
-        count_containing_pair(short, 2, "zz", "a")
+        rooted_parity_sums(short_parity, 2, "zz")
     with pytest.raises(LengthMismatch):
-        count_containing_pair(short, 2, "a", "c")
+        rooted_parity_sums(short_parity, 2, "a")
     big = random_tree(15, 0)
-    with pytest.raises(TooLarge):
-        oracle_count(big, -1, "subtree", ("zz",))
+    big_short = _degree_tree(big, [Y])
+    for tree_or_weighted in (big, big_short):
+        with pytest.raises(TooLarge):
+            oracle_count(tree_or_weighted, -1, "subtree", ("zz",))
+        with pytest.raises(TooLarge):
+            rooted_parity_sums(tree_or_weighted, -1, "zz")
     with pytest.raises(KTooSmall):
         oracle_count(t, 1, "bc", ("zz",))
+
+
+#: Custom weights the oracle used to take as raw mappings, unchecked, each
+#: rebuilt as a WeightedTree on the path a-b-c, and the error each raises.
+BAD_ORACLE_WEIGHTS = {
+    "int entries": (lambda t: oracle_count(_degree_tree(t, [1, 0, 0]), 2), InvalidArgument),
+    "edge key 'ab'": (
+        lambda t: oracle_count(
+            WeightedTree(t, {v: DegreeVector([Y, ZERO, ZERO]) for v in t.vertices},
+                         {"ab": Z, ("b", "c"): Z}),
+            2,
+        ),
+        InvalidArgument,
+    ),
+    "a missing vertex": (
+        lambda t: oracle_count(WeightedTree(t, {"a": DegreeVector([Y, ZERO, ZERO])}), 2),
+        InvalidArgument,
+    ),
+    "int entries, rooted": (
+        lambda t: rooted_parity_sums(_parity_tree(t, [1, 0, 0], [1, 0, 0]), 2, "a"),
+        InvalidArgument,
+    ),
+    "degree vectors for bc": (
+        lambda t: oracle_count(_degree_tree(t, [Y, ZERO, ZERO]), 2, "bc"),
+        LengthMismatch,
+    ),
+    "degree vectors, rooted": (
+        lambda t: rooted_parity_sums(_degree_tree(t, [Y, ZERO, ZERO]), 2, "a"),
+        LengthMismatch,
+    ),
+    "wrong length": (lambda t: oracle_count(_degree_tree(t, [Y, ZERO]), 2), LengthMismatch),
+    "wrong length, rooted": (
+        lambda t: rooted_parity_sums(_parity_tree(t, [ONE], [Y]), 2, "a"),
+        LengthMismatch,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ORACLE_WEIGHTS))
+def test_the_oracle_checks_custom_weights_as_the_counts_do(case):
+    call, error = BAD_ORACLE_WEIGHTS[case]
+    with pytest.raises(error) as raised:
+        call(parse_edge_list("a b\nb c\n"))
+    assert isinstance(raised.value, SubtreeCountError)
 
 
 def test_malformed_weights_raise_invalid_argument():

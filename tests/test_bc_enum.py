@@ -52,6 +52,15 @@ def test_initial_parity_vector():
     assert vec.even == (Y, ZERO, ZERO, ZERO)
 
 
+def test_parity_vector_keeps_odd_and_even_apart():
+    # The oracle reads custom weights through these same properties, so a
+    # swap inside the container would go unseen by every oracle comparison.
+    odd, even = [P("2*y"), Z, ZERO, ONE], [ONE, ZERO, P("y^2"), Y]
+    vec = ParityDegreeVector(odd, even)
+    assert vec.odd == tuple(odd)
+    assert vec.even == tuple(even)
+
+
 # test_leaf_update_bc_*: the parity fold, which the library replaced by
 # colour passes, lives on as the reference ``parity_fold`` in conftest.
 
@@ -432,8 +441,6 @@ def test_rooted_vectors_match_oracle_under_general_weights():
         )
         for root in t.vertices:
             vec = rooted_parity_vectors(wt, k, root)
-            odd_sums, even_sums = rooted_parity_sums(
-                t, k, root, vertex_weights=raw, edge_weights=edge_weights
-            )
+            odd_sums, even_sums = rooted_parity_sums(wt, k, root)
             assert vec.odd == odd_sums, (trial, root)
             assert vec.even == even_sums, (trial, root)

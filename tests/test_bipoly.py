@@ -124,6 +124,20 @@ def test_json_rejects_duplicates_and_negatives():
         BiPoly.from_json([{"y": -1, "z": 0, "c": "1"}])
 
 
+def test_json_takes_only_ints_and_decimal_strings():
+    # int() would truncate 1.5 and 2.9, read True as 1 and strip " 7".
+    for records in (
+        [{"y": 1.5, "z": 0, "c": "1"}],
+        [{"y": 1, "z": 0, "c": 2.9}],
+        [{"y": True, "z": 0, "c": "1"}],
+        [{"y": 1, "z": 0, "c": " 7"}],
+        5,
+    ):
+        with pytest.raises(ParseError):
+            BiPoly.from_json(records)
+    assert BiPoly.from_json([{"y": "2", "z": 1, "c": 3}]) == P("3*y^2*z")
+
+
 def test_big_coefficients_survive_json():
     big = 2**200 + 17
     a = BiPoly({(90, 89): big})

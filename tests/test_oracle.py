@@ -4,11 +4,13 @@ from subtreecount import (
     BiPoly,
     KTooSmall,
     ONE,
+    ParityDegreeVector,
     SameVertex,
     SubtreeCountError,
     TooLarge,
     TooManyAnchors,
     UnknownVertex,
+    WeightedTree,
     Y,
     ZERO,
     bc_subtree_weight,
@@ -211,7 +213,7 @@ def test_bc_count_sums_over_bc_family_only():
     k = 3
     odd = (ONE, Y, ZERO, ZERO)
     even = (Y, ZERO, ZERO, ZERO)
-    weights = {v: (odd, even) for v in p4.vertices}
+    weights = WeightedTree(p4, {v: ParityDegreeVector(odd, even) for v in p4.vertices})
     whole = _witness(p4, "abcd")
     assert not is_bc(whole)  # end leaves sit three apart
     assert bc_subtree_weight(whole, k, weights) != ZERO
@@ -220,5 +222,5 @@ def test_bc_count_sums_over_bc_family_only():
         for w in enumerate_connected_subtrees(p4)
         if is_bc(w)
     )
-    assert oracle_count(p4, k, "bc", vertex_weights=weights) == expected
+    assert oracle_count(weights, k, "bc") == expected
     assert bc_subtree_weight(whole, k, weights) + expected != expected

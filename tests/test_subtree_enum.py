@@ -258,16 +258,9 @@ def test_matches_oracle_with_custom_weights():
     }
     edge_weights = {("a", "b"): P("z^2"), ("b", "c"): Z, ("b", "d"): P("2*z")}
     wt = WeightedTree(t, vertex_weights, edge_weights)
-    oracle_vw = {v: vertex_weights[v].entries for v in t.vertices}
-    assert count_all(wt, k) == oracle_count(
-        t, k, vertex_weights=oracle_vw, edge_weights=edge_weights
-    )
-    assert count_containing(wt, k, "b") == oracle_count(
-        t, k, anchors=("b",), vertex_weights=oracle_vw, edge_weights=edge_weights
-    )
-    assert count_containing_pair(wt, k, "a", "c") == oracle_count(
-        t, k, anchors=("a", "c"), vertex_weights=oracle_vw, edge_weights=edge_weights
-    )
+    assert count_all(wt, k) == oracle_count(wt, k)
+    assert count_containing(wt, k, "b") == oracle_count(wt, k, anchors=("b",))
+    assert count_containing_pair(wt, k, "a", "c") == oracle_count(wt, k, anchors=("a", "c"))
 
 
 def test_big_integer_capability_at_depth():

@@ -86,6 +86,16 @@ def test_constructor_rejects_self_loop_and_bad_counts():
         Tree(["a", "b"], [("a", "c")])
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [("a", "b", "c"), ("a",), 5, (["a"], "b")],
+    ids=["triple", "single", "int", "unhashable"],
+)
+def test_constructor_rejects_an_edge_that_is_not_a_pair_of_labels(edge):
+    with pytest.raises(NotATree):
+        Tree(["a", "b"], [edge])
+
+
 def test_render_parse_round_trip():
     for n, seed in [(1, 5), (2, 5), (7, 11), (12, 3)]:
         t = random_tree(n, seed)
@@ -121,8 +131,11 @@ def test_prufer_decode_star():
 
 
 def test_generators_reject_bad_arguments():
+    # An entry outside 0..n-1 would index the degree table from its end
+    # (-1) or past it (7), or not at all ("0").
     for call in (lambda: prufer_decode([], 1), lambda: prufer_decode([0], 4),
-                 lambda: random_tree(0, 1)):
+                 lambda: prufer_decode([-1], 3), lambda: prufer_decode([7], 3),
+                 lambda: prufer_decode(["0"], 3), lambda: random_tree(0, 1)):
         with pytest.raises(InvalidArgument) as raised:
             call()
         assert isinstance(raised.value, SubtreeCountError)
