@@ -1,33 +1,54 @@
 """Exact sparse bivariate polynomial arithmetic.
 
-A polynomial is stored as a dict mapping exponent pairs ``(dy, dz)`` to
-positive integer coefficients; pairs that are absent have coefficient
-zero.  The indeterminate ``y`` marks vertices and ``z`` marks edges, so a
-term ``c*y^a*z^b`` reads "c structures with a marked vertices and b
-edges".  Plain counts fall out by evaluating at y = z = 1, which is just
-the sum of all coefficients.
-
-Coefficients are Python ints and therefore arbitrary precision: a star on
-90 vertices has 2^89 + 89 subtrees, far past any fixed machine width.
+The indeterminate ``y`` marks vertices and ``z`` marks edges, so a term
+``c*y^a*z^b`` reads "c structures with a marked vertices and b edges".
+Plain counts fall out by evaluating at y = z = 1, which is just the sum of
+all coefficients.  Coefficients are Python ints and therefore arbitrary
+precision: a star on 90 vertices has 2^89 + 89 subtrees, far past any
+fixed machine width.
 
 Values are immutable after construction and all operations return new
 instances, so instances may be shared freely between concurrent runs.
 
-A product with a one-term operand shifts the other operand's exponents and
-scales its coefficients; a product with ONE returns the other operand.
-Other small products run a double loop over term pairs.  Large operands
+Storage.  A polynomial has one of two stored forms; equality, hashing,
+text, JSON, ``terms()`` and ``eval_counts()`` depend only on its terms.
+
+* The dict form maps exponent pairs ``(dy, dz)`` to positive
+  coefficients; absent pairs have coefficient zero.  Every polynomial
+  starts in it: constants, monomials, parsed ones, BC generating
+  functions (whose terms spread over many diagonals ``dz - dy``) and
+  anything under ``_PACK_MIN_TERMS`` terms.
+* The list form (``_Line``) holds a polynomial of at least
+  ``_PACK_MIN_TERMS`` terms on one diagonal as ``(diagonal, lowest dy,
+  coefficient list)``, entry i being the coefficient of
+  ``y^(lowest + i) * z^(lowest + i + diagonal)``.  Plain-subtree
+  generating functions on a Tree lie on one diagonal (y^a z^(a-1), or
+  y^a z^a once times an edge weight), so nearly all their large products
+  and sums run on lists.  A product is in list form when one operand is
+  and the other lies on one diagonal at most twice as long as its terms,
+  or when both operands pack into one row (below); a sum is, when its
+  list parts lie on one diagonal and their spans overlap or touch.  Any
+  other combination falls back to the dict form, so no list is longer
+  than its operands' lists together, whatever gaps the exponents have.
+  The term dict of a list-form polynomial is built only when something
+  asks for its terms (text, JSON, equality, a difference, an operand the
+  list form cannot take), and kept.
+
+Products.  A product with ONE returns the other operand; one with a
+monomial shifts the other's exponents and scales its coefficients (a
+coefficient of 1 shares the list).  Other small products run a double
+loop over term pairs, or over rows of a coefficient list.  Large operands
 are multiplied by Kronecker substitution, so that CPython's big integer
 multiplication (Karatsuba) does the inner loop: each operand's terms are
-grouped into rows, one diagonal ``dz - dy`` each (a plain-subtree
-polynomial is one row), each row is packed into one int with one
-byte-aligned slot per ``dy``, every pair of rows is multiplied, and each
-product is added into row ``r1 + r2`` and unpacked slot by slot.  The
-slot width is exact, not a guess: coefficients are never negative, so
+grouped into rows, one diagonal each, a row is packed into one int with
+one byte-aligned slot per ``dy``, every pair of rows is multiplied, and
+each product is added into row ``r1 + r2`` and unpacked slot by slot.
+The slot width is exact, not a guess: coefficients are never negative, so
 every coefficient of the product, and every partial sum of row products,
 is at most ``eval(a) * eval(b)`` (the product of the coefficient sums),
 and ``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes hold it without a
 carry.  Which path runs depends only on the operands' shape (see
-``_PACK_MIN_TERMS``); all give the same dict.
+``_PACK_MIN_TERMS``); all give the same terms.
 
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
@@ -40,6 +61,8 @@ with fixed-width integers.
 from __future__ import annotations
 
 import re
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgument, NegativeCoefficient, ParseError
@@ -55,7 +78,8 @@ _TERM_RE = re.compile(
 class BiPoly:
     """Sparse polynomial in y and z with non-negative integer coefficients."""
 
-    __slots__ = ("_terms",)
+    #: ``_line`` is None in the dict form, else see ``_Line``.
+    __slots__ = ("_terms", "_line")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -72,13 +96,13 @@ class BiPoly:
                     raise InvalidArgument(f"negative coefficient for {key!r}")
                 if coeff:
                     clean[(dy, dz)] = coeff
-        self._terms = clean
+        self._terms, self._line = clean, None
 
     @classmethod
     def _raw(cls, terms: dict[tuple[int, int], int]) -> "BiPoly":
         # Trusted constructor: terms already canonical (no zeros, valid keys).
         out = object.__new__(cls)
-        out._terms = terms
+        out._terms, out._line = terms, None
         return out
 
     @classmethod
@@ -148,6 +172,8 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
+        if (self._line or other._line) is not None:  # either in the list form
+            return _mul_line(self, other)
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
@@ -158,15 +184,9 @@ class BiPoly:
             ((my, mz), mc), = mono.items()
             shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
             return BiPoly._raw(shifted)
-        if len(a) >= _PACK_MIN_TERMS <= len(b):
-            (rows_a, slots_a), (rows_b, slots_b) = _row_shape(a), _row_shape(b)
-            if (
-                len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * rows_a * rows_b
-                and slots_a <= 2 * len(a)
-                and slots_b <= 2 * len(b)
-            ):
-                return BiPoly._raw(_mul_packed(a, b))
-        return BiPoly._raw(_mul_dict(a, b))
+        if len(a) < _PACK_MIN_TERMS or len(b) < _PACK_MIN_TERMS:
+            return BiPoly._raw(_mul_dict(a, b))
+        return _mul_terms(a, b)
 
     @staticmethod
     def sum(items: Iterable["BiPoly"]) -> "BiPoly":
@@ -176,10 +196,19 @@ class BiPoly:
         itself; the dict is only built once a second non-zero operand
         arrives.  The smaller of the running sum and the next operand is
         walked into a copy of the larger, so the order of the operands does
-        not set the cost.  ``a + b`` is the sum of (a, b).
+        not set the cost.  From the first list-form operand on, the rest
+        is a ``_RunningSum``.  ``a + b`` is the sum of (a, b).
         """
         first, acc = _ZERO, None
+        items = iter(items)
         for poly in items:
+            if poly._line is not None:
+                total = _RunningSum()
+                total._terms = dict(first._terms) if acc is None else acc
+                total.add(poly)
+                for poly in items:
+                    total.add(poly)
+                return total.total()
             terms = poly._terms
             if not terms:
                 continue
@@ -273,6 +302,45 @@ class BiPoly:
         return cls._raw(acc)
 
 
+# The ``_terms`` slot itself: ``_Line`` hides it behind a property and
+# keeps the term dict there once built.
+_TERM_SLOT = BiPoly.__dict__["_terms"]
+
+
+class _Line(BiPoly):
+    """The list form (see the module docstring).  ``_line`` is ``(diagonal,
+    lowest dy, coefficients)``: at least ``_PACK_MIN_TERMS`` non-zero
+    coefficients, the first and the last of them non-zero."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, line: tuple[int, int, list[int]]) -> "_Line":
+        out = object.__new__(cls)
+        out._line = line
+        return out
+
+    @property
+    def _terms(self) -> dict[tuple[int, int], int]:
+        """The term dict, built on first use and kept."""
+        try:
+            return _TERM_SLOT.__get__(self)
+        except AttributeError:
+            diagonal, low, coeffs = self._line
+            terms = {(low + i, low + i + diagonal): c for i, c in enumerate(coeffs) if c}
+            _TERM_SLOT.__set__(self, terms)
+            return terms
+
+    def eval_counts(self) -> int:
+        return sum(self._line[2])
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __reduce__(self):
+        return _Line._of, (self._line,)
+
+
 def _json_int(value: object) -> int:
     """An int, or the int a decimal string spells; TypeError otherwise."""
     if type(value) is int:
@@ -283,23 +351,101 @@ def _json_int(value: object) -> int:
 
 
 class _RunningSum:
-    """A sum of polynomials kept in one term dict, added to as they arrive.
+    """A sum of polynomials, added to as they arrive.
 
-    Unlike ``acc = acc + part``, adding a part costs only its own terms.
+    Unlike ``acc = acc + part``, adding a part costs only its own terms:
+    dict-form parts go into one term dict.  List-form parts on one
+    diagonal go into one coefficient list, the first part shared until a
+    second arrives; then the longer list is copied once and the shorter
+    walked into it, and later parts are walked into that copy.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_line", "_owned")
 
     def __init__(self):
         self._terms: dict[tuple[int, int], int] = {}
+        self._line: _Line | None = None  # the sum of the list-form parts
+        self._owned = False  # whether _line's list is this sum's own copy
 
     def add(self, poly: BiPoly) -> None:
+        line = poly._line
+        if line is not None:
+            if self._line is None:
+                self._line = poly
+                return
+            if self._absorb(line):
+                return
         terms = self._terms
         for key, coeff in poly._terms.items():
             terms[key] = terms.get(key, 0) + coeff
 
+    def _absorb(self, line: tuple[int, int, list[int]]) -> bool:
+        """Add a line into ``_line`` if it lies on the same diagonal and its
+        span overlaps or touches; else return False."""
+        diagonal, low, coeffs = self._line._line
+        d, l, c = line
+        if d != diagonal or l > low + len(coeffs) or l + len(c) < low:
+            return False
+        owned = self._owned
+        if len(c) > len(coeffs):  # walk the shorter list into a copy of the longer
+            (low, coeffs), (l, c), owned = (l, c), (low, coeffs), False
+        if l < low:
+            coeffs, low = [0] * (low - l) + coeffs, l
+        elif not owned:
+            coeffs = coeffs[:]
+        at, end = l - low, l - low + len(c)
+        coeffs += [0] * (end - len(coeffs))
+        coeffs[at:end] = map(add, coeffs[at:end], c)
+        self._line, self._owned = _Line._of((diagonal, low, coeffs)), True
+        return True
+
     def total(self) -> BiPoly:
-        return BiPoly._raw(dict(self._terms))
+        line, terms = self._line, self._terms
+        if line is None:
+            return BiPoly._raw(dict(terms))
+        if terms:
+            part = _as_line(terms)
+            if part is None or not self._absorb(part):
+                merged = dict(line._terms)
+                for key, coeff in terms.items():
+                    merged[key] = merged.get(key, 0) + coeff
+                return BiPoly._raw(merged)
+            line, self._terms = self._line, {}
+        self._owned = False  # the result holds the list now; a later add copies it
+        return line
+
+
+def _mul_line(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p * q with p or q in the list form."""
+    if p._line is None:
+        p, q = q, p
+    diagonal, low, coeffs = p._line
+    other = q._line
+    if other is None:
+        terms = q._terms
+        if len(terms) <= 1:  # zero, ONE or a monomial
+            if not terms:
+                return _ZERO
+            ((my, mz), mc), = terms.items()
+            if mc == 1:
+                return p if my == mz == 0 else _Line._of((diagonal + mz - my, low + my, coeffs))
+            return _Line._of((diagonal + mz - my, low + my, [c * mc for c in coeffs]))
+        other = _as_line(terms)
+        if other is None:  # not on one dense diagonal
+            return _mul_terms(p._terms, terms)
+    d, l, c = other
+    if len(coeffs) < len(c):
+        coeffs, c = c, coeffs
+    if len(c) >= _PACK_MIN_TERMS:
+        ((_, (_, out)),) = _mul_packed({0: (0, coeffs)}, {0: (0, c)}).items()
+    else:  # schoolbook: one scaled copy of the longer list per entry of the shorter
+        n = len(coeffs)
+        out = [0] * (n + len(c) - 1)
+        for i, x in enumerate(c):
+            if x:
+                row = coeffs if x == 1 else map(mul, coeffs, repeat(x))
+                out[i : i + n] = map(add, out[i : i + n], row)
+    return _Line._of((diagonal + d, low + l, out))
 
 
 # When to pack (``BiPoly.__mul__``).  The dict loop costs one step per
@@ -311,7 +457,10 @@ class _RunningSum:
 # per row pair, and won above both limits.  A packed row also holds a
 # slot for every exponent between its terms, so an operand packs only
 # while its rows span at most two slots per term: far-apart exponents
-# would cost time and memory in proportion to their gaps.
+# would cost time and memory in proportion to their gaps.  Two coefficient
+# lists multiply by schoolbook rows, each one C-level pass over the longer
+# list, until the shorter has ``_PACK_MIN_TERMS`` entries: on the operand
+# pairs of plain counts at n = 800, packing won from about 6 entries on.
 _PACK_MIN_TERMS = 8
 _PACK_MIN_PAIRS_PER_ROW_PAIR = 16
 
@@ -328,50 +477,84 @@ def _mul_dict(a: dict, b: dict) -> dict:
     return acc
 
 
-def _row_shape(terms: dict) -> tuple[int, int]:
-    """How many rows ``terms`` falls into (see ``_packed_rows``), and how
-    many slots those rows span in all."""
-    rows: dict[int, list[int]] = {}
-    for dy, dz in terms:
-        rows.setdefault(dz - dy, []).append(dy)
-    return len(rows), sum(max(slots) - min(slots) + 1 for slots in rows.values())
+def _mul_terms(a: dict, b: dict) -> BiPoly:
+    """Product of two term dicts of two or more terms each: packed when both
+    have enough terms, term pairs per row pair and slots per term."""
+    if len(a) >= _PACK_MIN_TERMS <= len(b):
+        rows_a, rows_b = _rows(a), _rows(b)
+        if (
+            len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * len(rows_a) * len(rows_b)
+            and _slots(rows_a) <= 2 * len(a)
+            and _slots(rows_b) <= 2 * len(b)
+        ):
+            rows = _mul_packed(_listed(rows_a), _listed(rows_b))
+            if len(rows) == 1:
+                ((diagonal, (low, coeffs)),) = rows.items()
+                return _Line._of((diagonal, low, coeffs))
+            return BiPoly._raw({
+                (low + i, low + i + row): c
+                for row, (low, coeffs) in rows.items()
+                for i, c in enumerate(coeffs)
+                if c
+            })
+    return BiPoly._raw(_mul_dict(a, b))
 
 
-def _packed_rows(terms: dict, width: int) -> dict[int, tuple[int, int]]:
-    """Group ``terms`` into rows and pack each row into one int.
-
-    A row is one diagonal ``dz - dy`` and a term's slot is its ``dy``.
-    Returns row -> (lowest slot, packed int), slot s of the row at bytes
-    ``(s - lowest) * width`` onwards, little-endian.
-    """
+def _rows(terms: dict) -> dict[int, dict[int, int]]:
+    """``terms`` grouped into rows: diagonal dz - dy -> {dy: coefficient}."""
     rows: dict[int, dict[int, int]] = {}
     for (dy, dz), coeff in terms.items():
         rows.setdefault(dz - dy, {})[dy] = coeff
-    packed = {}
+    return rows
+
+
+def _slots(rows: dict[int, dict[int, int]]) -> int:
+    """How many slots the rows span in all, from each lowest dy to its highest."""
+    return sum(max(slots) - min(slots) + 1 for slots in rows.values())
+
+
+def _listed(rows: dict[int, dict[int, int]]) -> dict[int, tuple[int, list[int]]]:
+    """Each row as (lowest dy, coefficient list from there to its highest dy)."""
+    listed = {}
     for row, slots in rows.items():
         lowest = min(slots)
-        buf = bytearray((max(slots) - lowest + 1) * width)
+        coeffs = [0] * (max(slots) - lowest + 1)
         for slot, coeff in slots.items():
-            at = (slot - lowest) * width
-            buf[at : at + width] = coeff.to_bytes(width, "little")
-        packed[row] = (lowest, int.from_bytes(buf, "little"))
-    return packed
+            coeffs[slot - lowest] = coeff
+        listed[row] = (lowest, coeffs)
+    return listed
 
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """Product of two term dicts by Kronecker substitution, row by row.
+def _as_line(terms: dict) -> tuple[int, int, list[int]] | None:
+    """``terms`` as a line (diagonal, lowest dy, coefficients) if they lie on
+    one diagonal and span at most two slots per term; else None."""
+    rows = _rows(terms)
+    if len(rows) > 1 or _slots(rows) > 2 * len(terms):
+        return None
+    ((diagonal, (low, coeffs)),) = _listed(rows).items()
+    return diagonal, low, coeffs
 
-    Gives the same dict as ``_mul_dict``; the slot width cannot carry (see
-    the module docstring).
+
+def _mul_packed(
+    rows_a: dict[int, tuple[int, list[int]]], rows_b: dict[int, tuple[int, list[int]]]
+) -> dict[int, tuple[int, list[int]]]:
+    """Product of two polynomials given as rows, by Kronecker substitution.
+
+    A row maps a diagonal dz - dy to (lowest dy, coefficient list), the
+    list non-zero at both ends; the product comes back the same way.  The
+    slot width cannot carry (see the module docstring).
     """
-    width = ((sum(a.values()) * sum(b.values())).bit_length() + 7) // 8
+    total_a = sum(sum(coeffs) for _, coeffs in rows_a.values())
+    total_b = sum(sum(coeffs) for _, coeffs in rows_b.values())
+    width = ((total_a * total_b).bit_length() + 7) // 8
     if not width:  # an operand is zero
         return {}
     bits = 8 * width
-    rows_b = _packed_rows(b, width)
+    packed_b = [(rb, lb, _pack(cb, width)) for rb, (lb, cb) in rows_b.items()]
     sums: dict[int, tuple[int, int]] = {}  # row -> (lowest slot, packed sum)
-    for ra, (la, va) in _packed_rows(a, width).items():
-        for rb, (lb, vb) in rows_b.items():
+    for ra, (la, ca) in rows_a.items():
+        va = _pack(ca, width)
+        for rb, lb, vb in packed_b:
             row, lowest, value = ra + rb, la + lb, va * vb
             prev = sums.get(row)
             if prev is None:
@@ -380,16 +563,17 @@ def _mul_packed(a: dict, b: dict) -> dict:
                 sums[row] = (prev[0], prev[1] + (value << bits * (lowest - prev[0])))
             else:
                 sums[row] = (lowest, value + (prev[1] << bits * (prev[0] - lowest)))
-    acc: dict[tuple[int, int], int] = {}
+    out = {}
     for row, (lowest, value) in sums.items():
-        count = -(-value.bit_length() // bits)
-        data = value.to_bytes(count * width, "little")
-        for i in range(count):
-            coeff = int.from_bytes(data[i * width : (i + 1) * width], "little")
-            if coeff:
-                slot = lowest + i
-                acc[(slot, slot + row)] = coeff
-    return acc
+        data = value.to_bytes(-(-value.bit_length() // bits) * width, "little")
+        slices = [data[i : i + width] for i in range(0, len(data), width)]
+        out[row] = (lowest, list(map(int.from_bytes, slices, repeat("little"))))
+    return out
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """One int holding ``coeffs`` in slots of ``width`` bytes, little-endian."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
 _ZERO = BiPoly.zero()

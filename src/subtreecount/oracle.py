@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .bc_enum import ParityDegreeVector
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import InvalidArgument, TooLarge, UnknownVertex
+from .errors import InvalidArgument, LengthMismatch, TooLarge, UnknownVertex
 from .subtree_enum import DegreeVector
 from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
 
@@ -332,9 +332,13 @@ def rooted_parity_sums(
 ) -> tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]]:
     """Definitional sums of the rooted parity weights over all witnesses
     containing ``root``: one odd and one even vector, indexed by root degree.
-    Checks n, then k, then the root, then custom weights (``_checked``)
-    before any work."""
+    Checks n, then k, then the root, then custom weights (``_checked``),
+    which must be full rows of length k + 1, before any work."""
     tree, weights, _ = _checked(t, k, "bc", (root,))
+    for v in tree.vertices if weights is not None else ():
+        vec = weights.vector(v)  # a product row lumps its tail: entry j is not there
+        if type(vec.odd) is not tuple or type(vec.even) is not tuple:
+            raise LengthMismatch(f"vertex {v!r} needs full rows of length {k + 1}")
     odd_vec, even_vec = _parity_vecs(weights, root, k)
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)

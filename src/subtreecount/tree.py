@@ -65,6 +65,8 @@ class Tree:
         seen: set[tuple[str, str]] = set()
         norm: list[tuple[str, str]] = []
         for edge in edges:
+            if isinstance(edge, str):  # "ab" would unpack as the pair (a, b)
+                raise NotATree(f"edge {edge!r} is a string, not a pair of vertex labels")
             try:
                 u, v = edge
                 if u not in known or v not in known:

@@ -22,7 +22,15 @@ from subtreecount import (
     random_tree,
     ratio_sweep,
 )
-from subtreecount.bipoly import _mul_dict, _mul_packed
+from subtreecount.bipoly import (
+    _Line,
+    _PACK_MIN_TERMS,
+    _RunningSum,
+    _listed,
+    _mul_dict,
+    _mul_packed,
+    _rows,
+)
 
 from conftest import _capped_subtrees_by_size
 
@@ -241,6 +249,13 @@ class _Unwalked(dict):
         raise AssertionError("the operand with more terms was walked")
 
 
+class _UnwalkedList(list):
+    """A coefficient list that may be copied or sliced whole but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("the longer coefficient list was walked")
+
+
 @given(polys, polys)
 def test_sum_and_add_walk_only_the_smaller_operand(a, b):
     small, big = sorted((a, b), key=lambda p: len(p.terms()))
@@ -249,6 +264,7 @@ def test_sum_and_add_walk_only_the_smaller_operand(a, b):
     expected = BiPoly(dict(Counter(small.terms()) + Counter(big.terms())))
     assert small + watched == watched + small == expected
     assert BiPoly.sum([small, watched]) == BiPoly.sum([watched, ZERO, small]) == expected
+
 
 
 def test_shared_constants_survive_counts():
@@ -265,7 +281,8 @@ def test_shared_constants_survive_counts():
 # ``*`` packs them when their rows are long enough.  Single-line operands
 # keep dz - dy fixed, as plain-subtree polynomials do; 2-D ones scatter
 # over a grid, as BC polynomials do.  Coefficients mix small values with
-# values past 2^64.
+# values past 2^64.  ``packed`` runs ``_mul_packed``, which takes and gives
+# rows (diagonal -> (lowest dy, coefficient list)), on term dicts.
 coeffs = st.one_of(st.integers(1, 50), st.integers(2**64, 2**90))
 
 
@@ -283,18 +300,28 @@ operands = st.one_of(line_terms(), grid_terms)
 small_factors = st.sampled_from([{}, {(0, 0): 1}, {(3, 1): 2**70 + 1}, {(0, 2): 5}])
 
 
+def packed(a: dict, b: dict) -> dict:
+    rows = _mul_packed(_listed(_rows(a)), _listed(_rows(b)))
+    return {
+        (low + i, low + i + row): c
+        for row, (low, coeffs) in rows.items()
+        for i, c in enumerate(coeffs)
+        if c
+    }
+
+
 @given(operands, operands)
 @example({(i, i): 2**64 + i for i in range(8)}, {(i, i + 1): 1 for i in range(8)})
 def test_packed_product_matches_dict_product(a, b):
     expected = _mul_dict(a, b)
-    assert _mul_packed(a, b) == expected
+    assert packed(a, b) == expected
     assert (BiPoly(a) * BiPoly(b)).terms() == expected
 
 
 @given(operands, small_factors)
 def test_packed_product_with_zero_one_and_monomials(a, m):
     expected = _mul_dict(a, m)
-    assert _mul_packed(a, m) == expected == _mul_packed(m, a)
+    assert packed(a, m) == expected == packed(m, a)
     assert BiPoly(a) * ZERO == ZERO and BiPoly(a) * ONE == BiPoly(a)
 
 
@@ -326,10 +353,11 @@ def test_product_with_one_shares_the_other_operand(p):
 
 
 def _count_packed(monkeypatch):
+    """Record the term counts of every packed product's operands."""
     calls = []
 
     def counted(a, b):
-        calls.append((len(a), len(b)))
+        calls.append(tuple(sum(len(c) - c.count(0) for _, c in rows.values()) for rows in (a, b)))
         return _mul_packed(a, b)
 
     monkeypatch.setattr(bipoly, "_mul_packed", counted)
@@ -357,6 +385,29 @@ def test_mul_packs_only_long_rows(monkeypatch):
     assert sparse * sparse == BiPoly(_mul_dict(sparse.terms(), sparse.terms()))
     assert time.perf_counter() - start < 1.0
     assert calls == [(20, 20)]
+    # The one-row product comes back in the list form, and so does every
+    # product of it with a polynomial on one dense diagonal; list times list
+    # packs from _PACK_MIN_TERMS entries up, and below that runs schoolbook rows.
+    square = line * line
+    assert square._line is not None
+    assert calls == [(20, 20)] * 2
+    short = BiPoly({(i, i): i + 2 for i in range(_PACK_MIN_TERMS - 1)})
+    for other in (square, Z, short, line, line * Z):
+        product = square * other
+        assert product._line is not None
+        assert product.terms() == _mul_dict(square.terms(), other.terms())
+    assert calls == [(20, 20)] * 2 + [(39, 39), (39, 20), (39, 20)]
+    # Off its diagonal, or far from its span, a line falls back to the dict
+    # form, and no list spans the gaps.
+    del calls[:]
+    start = time.perf_counter()
+    for other in (sparse, BiPoly({(10**9, 10**9 + 4): 1}), scattered, square + line):
+        assert (square * other).terms() == _mul_dict(square.terms(), other.terms())
+        total = square + other
+        assert total._line is None
+        assert total.terms() == dict(Counter(square.terms()) + Counter(other.terms()))
+    assert time.perf_counter() - start < 1.0
+    assert calls == [(39, 59)]  # square times the two rows of square + line
 
 
 def test_packed_path_is_exact_past_64_bits(monkeypatch):
@@ -368,6 +419,7 @@ def test_packed_path_is_exact_past_64_bits(monkeypatch):
     calls = _count_packed(monkeypatch)
     poly = count_all(t, 8)
     assert calls
+    assert poly._line is not None  # the running sum kept the list form
     expected = {(a, a - 1): c for a, c in _capped_subtrees_by_size(t, 8).items()}
     assert poly.terms() == expected
     assert poly.max_coefficient() > 2**128
@@ -378,7 +430,97 @@ def test_packed_bc_counts_match_the_dict_loop(monkeypatch):
     calls = _count_packed(monkeypatch)
     packed = [count_bc_all(t, 8) for t in trees]
     assert calls
+    assert all(poly._line is None for poly in packed)  # BC stays on dicts
     monkeypatch.setattr(bipoly, "_PACK_MIN_TERMS", float("inf"))
     del calls[:]
     assert [count_bc_all(t, 8) for t in trees] == packed
     assert not calls
+
+
+@st.composite
+def touching_lines(draw):
+    """A line's terms, and a dense, shorter run of terms on its diagonal
+    whose span overlaps or touches the line's."""
+    a = draw(line_terms())
+    (dy, dz), = list(a)[:1]
+    low, high = min(y for y, _ in a), max(y for y, _ in a)
+    assume(high - low > 8)
+    length = draw(st.integers(8, high - low))
+    start = draw(st.integers(max(0, low - length), high + 1))
+    return a, {(y, y + dz - dy): draw(coeffs) for y in range(start, start + length)}
+
+
+@given(touching_lines())
+def test_list_sums_walk_only_the_shorter_list(lines):
+    # The list form's twin of the test above: the longer line is copied
+    # whole, the shorter one (a line, or the dict it is made of) walked in.
+    a, b = lines
+    (diagonal, (low, coeffs)), = _listed(_rows(a)).items()
+    (_, (low_b, coeffs_b)), = _listed(_rows(b)).items()
+    watched = _Line._of((diagonal, low, _UnwalkedList(coeffs)))
+    expected = dict(Counter(a) + Counter(b))
+    for small in (BiPoly(b), _Line._of((diagonal, low_b, coeffs_b))):
+        for total in (small + watched, watched + small, BiPoly.sum([watched, ZERO, small])):
+            assert total._line is not None and total.terms() == expected
+
+
+# The two stored forms.  A term dict on one diagonal with at least
+# _PACK_MIN_TERMS terms can also be held as a coefficient list (``_Line``);
+# every operation must give the same terms whichever form each operand is in.
+SPARSE_LINE = {(i * 10**9, i * 10**9): i + 1 for i in range(8)}
+
+
+def forms(terms: dict) -> list[BiPoly]:
+    """``terms`` in the dict form, and in the list form where it can be held
+    so (short enough a span to list: not SPARSE_LINE)."""
+    out = [BiPoly(terms)]
+    rows = _rows(terms)
+    span = sum(max(slots) - min(slots) + 1 for slots in rows.values())
+    if len(rows) == 1 and len(terms) >= _PACK_MIN_TERMS and span <= 200:
+        (diagonal, (low, coeffs)), = _listed(rows).items()
+        out.append(_Line._of((diagonal, low, coeffs)))
+    return out
+
+
+form_operands = st.one_of(
+    line_terms(),
+    grid_terms,
+    st.dictionaries(exponents, coeffs, max_size=8),
+    st.just(SPARSE_LINE),
+)
+
+
+@given(form_operands, form_operands)
+@example({(i, i): 2**64 + i for i in range(8)}, {(i, i + 1): 1 for i in range(8)})
+@example({(i, i + 2): 2**70 + i for i in range(12)}, SPARSE_LINE)
+@example({(i, i): i + 1 for i in range(3, 30)}, {(i, i): 1 for i in range(8)})
+def test_both_forms_give_the_same_results(a, b):
+    start = time.perf_counter()
+    product, total = _mul_dict(a, b), dict(Counter(a) + Counter(b))
+    twice = dict(Counter(total) + Counter(a))
+    for x in forms(a):
+        for y in forms(b):
+            assert (x * y).terms() == product == (y * x).terms()
+            assert (x + y).terms() == total == (y + x).terms()
+            assert BiPoly.sum([x, ZERO, y, x]).terms() == twice
+            running = _RunningSum()
+            for part in (x, y, ZERO, x):
+                running.add(part)
+            assert running.total().terms() == twice
+            assert ((x + y) - y).terms() == a
+            for s in forms(total):
+                assert (s - y).terms() == a and (s - x).terms() == b
+            if a:
+                with pytest.raises(NegativeCoefficient):
+                    y - (x + y)
+    for p in forms(a) + forms(b):
+        assert BiPoly.sum([ZERO, p, ZERO]) is (p if p else ZERO)
+    for terms in (a, b, product):
+        first, *others = forms(terms)
+        for other in others:
+            assert other == first and first == other and hash(other) == hash(first)
+            assert str(other) == str(first) and other.to_json() == first.to_json()
+            assert other.eval_counts() == first.eval_counts() == sum(terms.values())
+            assert other.max_coefficient() == first.max_coefficient()
+            assert bool(other) and other.terms() == terms
+    assert time.perf_counter() - start < 1.0

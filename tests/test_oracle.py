@@ -3,6 +3,7 @@ import pytest
 from subtreecount import (
     BiPoly,
     KTooSmall,
+    LengthMismatch,
     ONE,
     ParityDegreeVector,
     SameVertex,
@@ -23,6 +24,7 @@ from subtreecount import (
     rooted_parity_weight,
     subtree_weight,
 )
+from subtreecount.tree import as_weighted
 
 P = BiPoly.parse
 
@@ -224,3 +226,16 @@ def test_bc_count_sums_over_bc_family_only():
     )
     assert oracle_count(weights, k, "bc") == expected
     assert bc_subtree_weight(whole, k, weights) + expected != expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rooted_parity_sums_reject_product_rows(k):
+    # On a plain Tree, as_weighted builds product rows, which lump every
+    # entry past their head into one: the oracle cannot read entry j off them.
+    t = parse_edge_list("a b\nb c\n")
+    wt = as_weighted(t, k, ParityDegreeVector)[0]
+    with pytest.raises(LengthMismatch):
+        rooted_parity_sums(wt, k, "a")
+    assert oracle_count(wt, k, "bc") == oracle_count(t, k, "bc")
+    full = as_weighted(t, 2, ParityDegreeVector, full_rows=True)[0]
+    assert rooted_parity_sums(full, 2, "a") == rooted_parity_sums(t, 2, "a")

@@ -88,8 +88,9 @@ def test_constructor_rejects_self_loop_and_bad_counts():
 
 @pytest.mark.parametrize(
     "edge",
-    [("a", "b", "c"), ("a",), 5, (["a"], "b")],
-    ids=["triple", "single", "int", "unhashable"],
+    # Unpacked, the string "ab" would be read as the edge (a, b).
+    [("a", "b", "c"), ("a",), 5, (["a"], "b"), "ab"],
+    ids=["triple", "single", "int", "unhashable", "string"],
 )
 def test_constructor_rejects_an_edge_that_is_not_a_pair_of_labels(edge):
     with pytest.raises(NotATree):
