@@ -83,7 +83,7 @@ class ParityDegreeVector:
 
     def _fits(self, k: int) -> bool:
         """Whether cap k can count these vectors: product rows fit any cap."""
-        return type(self.odd) is _Product or len(self.odd) == k + 1
+        return self._other._fits(k)
 
     def truncated(self) -> "ParityDegreeVector":
         """Both vectors without their top entry: the cap k-1 view."""

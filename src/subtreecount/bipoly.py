@@ -86,11 +86,11 @@ class BiPoly:
         if terms:
             for key, coeff in terms.items():
                 dy, dz = key
-                if not (isinstance(dy, int) and isinstance(dz, int)):
+                if not (type(dy) is int and type(dz) is int):
                     raise InvalidArgument(f"exponents must be ints, got {key!r}")
                 if dy < 0 or dz < 0:
                     raise InvalidArgument(f"negative exponent in {key!r}")
-                if not isinstance(coeff, int):
+                if type(coeff) is not int:
                     raise InvalidArgument(f"coefficient for {key!r} is not an int")
                 if coeff < 0:
                     raise InvalidArgument(f"negative coefficient for {key!r}")

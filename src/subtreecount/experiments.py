@@ -68,6 +68,7 @@ def ratio_sweep(
     require_int(n, k_lo + 1, "n")
     require_int(samples, 0, "samples")
     require_int(k_max, k_lo, "k_max")
+    require_int(seed, None, "seed")
     if k_max > n - 1:
         raise InvalidArgument(f"k_max must lie in {k_lo}..{n - 1}, got {k_max}")
     master = random.Random(seed)

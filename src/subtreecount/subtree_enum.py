@@ -16,9 +16,9 @@ from lo + 1), then ``rest``, the sum of all the others.  It serves a
 vertex of degree at most the cap, which takes at most cap - 1 folds before
 it is eliminated (cap if it survives, cap - 2 inside a pair's path): every
 range read from it reaches past its last non-zero entry, and the cap never
-truncates it.  Without a head, rest = w * prod(1 + a_j) over the attached
-branches a_j, so a fold costs one product, rest * (1 + a), not one per
-live entry; with a head, rest gains (last head entry + rest) * a.
+truncates it.  So a fold costs one product, not one per live entry: rest
+becomes rest * a + rest, plus h * a when the row has a head, h its last
+entry (without one, rest = w * prod(1 + a_j) over the branches a_j).
 
 The elimination loop itself is ``WeightedTree.contract``; ``_contract``
 runs it with this module's fold, ``leaf_update_subtree``, for both
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
+from .bipoly import BiPoly, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
 from .tree import Tree, WeightedTree, as_weighted, least_k, require_int
 
@@ -154,22 +154,18 @@ def leaf_update_subtree(
     original leaf outside the colour class attaches nothing.
     """
     row, hung = parent.entries, leaf.entries
-    if (len(row) != k + 1 and type(row) is not _Product) or (
-        len(hung) != k + 1 and type(hung) is not _Product
-    ):
+    if not (parent._fits(k) and leaf._fits(k)):
         raise LengthMismatch(f"vectors must have length {k + 1}, got {len(row)} and {len(hung)}")
     branch = range_sum(hung, leaf._lo, k - 1)
     if not branch:
         return parent
     attach = edge_weight * branch
     product = type(row) is _Product
-    if product and len(row) == 1:
-        return DegreeVector._row(_Product((row[0] * (attach + ONE),)), parent._lo)
     out = list(row)
     for i in range(1, len(row) - product):
         out[i] = row[i] + row[i - 1] * attach
     if product:
-        out[-1] = (row[-1] + row[-2]) * attach + row[-1]
+        out[-1] = (row[-1] + row[-2] if len(row) > 1 else row[-1]) * attach + row[-1]
     return DegreeVector._row(_Product(out) if product else tuple(out), parent._lo)
 
 

@@ -250,7 +250,7 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
         raise InvalidArgument(f"sequence length must be n-2, got {len(seq)}")
     degree = [1] * n
     for x in seq:
-        if not isinstance(x, int) or not 0 <= x < n:
+        if type(x) is not int or not 0 <= x < n:
             raise InvalidArgument(f"sequence entries must be ints in 0..{n - 1}, got {x!r}")
         degree[x] += 1
     leaves = [i for i in range(n) if degree[i] == 1]
@@ -271,9 +271,11 @@ def random_tree(n: int, seed: int) -> Tree:
 
     Uniformity comes from drawing a uniform Pruefer sequence and decoding
     it.  The generator is Python's Mersenne Twister seeded with ``seed``,
-    so identical (n, seed) pairs replay identical trees.
+    so identical (n, seed) pairs replay identical trees.  The seed must
+    be an int: ``None`` would draw from system entropy.
     """
     require_int(n, 1, "n")
+    require_int(seed, None, "seed")
     labels = [f"v{i}" for i in range(1, n + 1)]
     if n == 1:
         return Tree(labels, [])
@@ -379,12 +381,13 @@ def least_k(family: str) -> int:
     return LEAST_K[family]
 
 
-def require_int(value: int, minimum: int, name: str = "k") -> None:
-    """Check that ``value`` is an int of at least ``minimum``.  A k below
-    its minimum raises KTooSmall; every other failure, InvalidArgument."""
-    if not isinstance(value, int):
+def require_int(value: int, minimum: int | None, name: str = "k") -> None:
+    """Check that ``value`` is an int (not a bool) of at least ``minimum``,
+    if one is given.  A k below its minimum raises KTooSmall; every other
+    failure, InvalidArgument."""
+    if type(value) is not int:
         raise InvalidArgument(f"{name} must be an int, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         error = KTooSmall if name == "k" else InvalidArgument
         raise error(f"{name} must be >= {minimum}, got {value}")
 

@@ -142,6 +142,41 @@ def test_non_int_arguments_raise_invalid_argument():
             call()
 
 
+#: Python counts a bool as an int, so each of these calls counted at
+#: k = 1, built a tree on a vertex labelled True or a polynomial whose
+#: text and JSON do not read back, before bools were refused.
+BOOL_ARGUMENTS = {
+    "count_all-k": lambda t: count_all(t, True),
+    "count_containing-k": lambda t: count_containing(t, True, "a"),
+    "oracle_count-k": lambda t: oracle_count(t, True),
+    "ratio_sweep-k_max": lambda t: ratio_sweep(5, 1, True, 0),
+    "ratio_sweep-samples": lambda t: ratio_sweep(5, True, 2, 0),
+    "random_tree-n": lambda t: random_tree(True, 0),
+    "prufer_decode-entry": lambda t: tree.prufer_decode([True, 0], 4),
+    "BiPoly-coefficient": lambda t: BiPoly({(1, 0): True}),
+    "BiPoly-exponent": lambda t: BiPoly({(True, 0): 1}),
+    "BiPoly.monomial-exponent": lambda t: BiPoly.monomial(1, 0, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_ARGUMENTS))
+def test_a_bool_is_not_an_int_at_any_door(case):
+    with pytest.raises(InvalidArgument):
+        BOOL_ARGUMENTS[case](parse_edge_list(SPIDER))
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "7", [1]])
+def test_random_trees_and_sweeps_take_only_int_seeds(seed):
+    # None would draw from system entropy, so two calls would differ.
+    for call in (
+        lambda: random_tree(6, seed),
+        lambda: random_tree(1, seed),
+        lambda: ratio_sweep(5, 1, 2, seed),
+    ):
+        with pytest.raises(InvalidArgument):
+            call()
+
+
 #: Every entry point that takes anchors: its anchor counts and a call on
 #: (tree, anchors) at its family's least cap (one more for exact degree).
 ANCHORED = {

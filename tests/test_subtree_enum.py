@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -19,6 +20,8 @@ from subtreecount import (
     ZERO,
     count_all,
     count_bc_all,
+    count_bc_containing,
+    count_bc_containing_pair,
     count_bc_exact_degree,
     count_containing,
     count_containing_pair,
@@ -290,3 +293,35 @@ def test_memory_grows_linearly_on_a_long_path(count):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 8 * peaks[0]
+
+
+def _star_sum(binomial, j_lo, K, dy):
+    """The sum over j = j_lo..K of binomial(j) * y^(j + dy) * z^j."""
+    return BiPoly({(j + dy, j): binomial(j) for j in range(j_lo, K + 1)})
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 150])
+def test_every_mode_on_a_large_star_matches_its_closed_form(k):
+    # A hub with m leaves, far past the oracle's 14 vertices: each fold
+    # into the hub is a product row with no head.  A subtree through the
+    # hub is the hub plus j of its leaves, j <= K = min(k, m); the BC ones
+    # are those with j >= 2 leaves, whose leaves y marks.
+    m = 150
+    leaves = [f"l{i}" for i in range(m)]
+    t = Tree(["h"] + leaves, [("h", leaf) for leaf in leaves])
+    K = min(k, m)
+    through_hub = _star_sum(lambda j: comb(m, j), 0, K, 1)
+    assert count_containing(t, k, "h") == through_hub
+    assert count_all(t, k) == through_hub + BiPoly({(1, 0): m})
+    assert count_containing_pair(t, k, "h", "l0") == _star_sum(lambda j: comb(m - 1, j - 1), 1, K, 1)
+    if k == m:  # the hub with any set of leaves, or a leaf alone
+        assert count_all(t, k).eval_counts() == 2**m + m
+    if k < 2:
+        return
+    bc = _star_sum(lambda j: comb(m, j), 2, K, 0)
+    assert count_bc_all(t, k) == bc
+    assert count_bc_containing(t, k, "h") == bc
+    assert count_bc_containing(t, k, "l0") == _star_sum(lambda j: comb(m - 1, j - 1), 2, K, 0)
+    assert count_bc_containing_pair(t, k, "l0", "l1") == _star_sum(
+        lambda j: comb(m - 2, j - 2), 2, K, 0
+    )
