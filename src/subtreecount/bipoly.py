@@ -24,31 +24,36 @@ text, JSON, ``terms()`` and ``eval_counts()`` depend only on its terms.
   ``y^(lowest + i) * z^(lowest + i + diagonal)``.  Plain-subtree
   generating functions on a Tree lie on one diagonal (y^a z^(a-1), or
   y^a z^a once times an edge weight), so nearly all their large products
-  and sums run on lists.  A product is in list form when one operand is
-  and the other lies on one diagonal at most twice as long as its terms,
-  or when both operands pack into one row (below); a sum is, when its
-  list parts lie on one diagonal and their spans overlap or touch.  Any
-  other combination falls back to the dict form, so no list is longer
-  than its operands' lists together, whatever gaps the exponents have.
-  The term dict of a list-form polynomial is built only when something
-  asks for its terms (text, JSON, equality, a difference, an operand the
-  list form cannot take), and kept.
+  and sums run on lists.  A product is a list when it comes out as one
+  row (see Products); a sum is, when its list parts lie on one diagonal
+  and their spans overlap or touch.  Any other combination falls back to
+  the dict form, so no list is longer than its operands' lists together,
+  whatever gaps the exponents have.  The term dict of a list-form
+  polynomial is built only when something asks for its terms (text,
+  JSON, equality, a difference, an operand the list form cannot take),
+  and kept.
 
-Products.  A product with ONE returns the other operand; one with a
-monomial shifts the other's exponents and scales its coefficients (a
-coefficient of 1 shares the list).  Other small products run a double
-loop over term pairs, or over rows of a coefficient list.  Large operands
-are multiplied by Kronecker substitution, so that CPython's big integer
-multiplication (Karatsuba) does the inner loop: each operand's terms are
-grouped into rows, one diagonal each, a row is packed into one int with
-one byte-aligned slot per ``dy``, every pair of rows is multiplied, and
-each product is added into row ``r1 + r2`` and unpacked slot by slot.
-The slot width is exact, not a guess: coefficients are never negative, so
-every coefficient of the product, and every partial sum of row products,
-is at most ``eval(a) * eval(b)`` (the product of the coefficient sums),
-and ``ceil(bit_length(eval(a) * eval(b)) / 8)`` bytes hold it without a
-carry.  Which path runs depends only on the operands' shape (see
-``_PACK_MIN_TERMS``); all give the same terms.
+Products.  ``BiPoly.__mul__`` finishes a product of two dicts itself
+when that is cheap: with zero, with ONE (it returns the other operand),
+with a monomial (shift and scale) or with an operand under
+``_PACK_MIN_TERMS`` terms (a double loop over term pairs).  Every other
+product, any with a list operand and any of two larger dicts, takes one
+path, ``_mul_rows``.  There a list times zero, ONE or a monomial is
+shifted and scaled (a coefficient of 1 shares the list); else one
+converter, ``_rows``, reads each operand as rows, one per diagonal (a
+list is its one row).  Two single rows with a short one run schoolbook
+rows, one C-level pass over the longer list each.  Larger operands are
+multiplied by Kronecker substitution, so that CPython's big integer
+multiplication (Karatsuba) does the inner loop: a row is packed into one
+int with one byte-aligned slot per ``dy``, every pair of rows is
+multiplied, and each product is added into row ``r1 + r2`` and unpacked
+slot by slot; a product of one row is a list.  Operands too sparse, or
+with too few term pairs per row pair, take the double loop (see
+``_PACK_MIN_TERMS``).  The slot width is exact: coefficients are never
+negative, so every coefficient of the product, and every partial sum of
+row products, is at most ``eval(a) * eval(b)``, and slots of its bit
+length, rounded up to whole bytes, hold it without a carry.  Which path
+runs depends only on the operands' shape; all give the same terms.
 
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
@@ -173,20 +178,21 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         if (self._line or other._line) is not None:  # either in the list form
-            return _mul_line(self, other)
+            return _mul_rows(self, other)
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
         if len(a) == 1 or len(b) == 1:  # a monomial shifts and scales the other
-            if b == _ONE_TERMS or a == _ONE_TERMS:  # ONE: share the other operand
-                return self if b == _ONE_TERMS else other
+            one = ONE._terms
+            if b == one or a == one:  # ONE: share the other operand
+                return self if b == one else other
             mono, other = (a, b) if len(a) == 1 else (b, a)
             ((my, mz), mc), = mono.items()
             shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
             return BiPoly._raw(shifted)
         if len(a) < _PACK_MIN_TERMS or len(b) < _PACK_MIN_TERMS:
             return BiPoly._raw(_mul_dict(a, b))
-        return _mul_terms(a, b)
+        return _mul_rows(self, other)
 
     @staticmethod
     def sum(items: Iterable["BiPoly"]) -> "BiPoly":
@@ -368,23 +374,24 @@ class _RunningSum:
         self._owned = False  # whether _line's list is this sum's own copy
 
     def add(self, poly: BiPoly) -> None:
-        line = poly._line
-        if line is not None:
+        if poly._line is not None:
             if self._line is None:
                 self._line = poly
                 return
-            if self._absorb(line):
+            if self._absorb(_rows(poly)):
                 return
         terms = self._terms
         for key, coeff in poly._terms.items():
             terms[key] = terms.get(key, 0) + coeff
 
-    def _absorb(self, line: tuple[int, int, list[int]]) -> bool:
-        """Add a line into ``_line`` if it lies on the same diagonal and its
-        span overlaps or touches; else return False."""
+    def _absorb(self, rows: dict[int, tuple[int, list[int]]] | None) -> bool:
+        """Add a polynomial's rows (``_rows``) into ``_line`` if they are one
+        row on its diagonal whose span overlaps or touches; else return False."""
         diagonal, low, coeffs = self._line._line
-        d, l, c = line
-        if d != diagonal or l > low + len(coeffs) or l + len(c) < low:
+        if rows is None or rows.keys() != {diagonal}:
+            return False
+        l, c = rows[diagonal]
+        if l > low + len(coeffs) or l + len(c) < low:
             return False
         owned = self._owned
         if len(c) > len(coeffs):  # walk the shorter list into a copy of the longer
@@ -404,8 +411,7 @@ class _RunningSum:
         if line is None:
             return BiPoly._raw(dict(terms))
         if terms:
-            part = _as_line(terms)
-            if part is None or not self._absorb(part):
+            if not self._absorb(_rows(BiPoly._raw(terms))):
                 merged = dict(line._terms)
                 for key, coeff in terms.items():
                     merged[key] = merged.get(key, 0) + coeff
@@ -415,40 +421,53 @@ class _RunningSum:
         return line
 
 
-def _mul_line(p: BiPoly, q: BiPoly) -> BiPoly:
-    """p * q with p or q in the list form."""
+def _mul_rows(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p * q with p or q in the list form, or with two dicts of
+    ``_PACK_MIN_TERMS`` terms or more (see the module docstring)."""
     if p._line is None:
         p, q = q, p
-    diagonal, low, coeffs = p._line
-    other = q._line
-    if other is None:
-        terms = q._terms
-        if len(terms) <= 1:  # zero, ONE or a monomial
-            if not terms:
-                return _ZERO
-            ((my, mz), mc), = terms.items()
-            if mc == 1:
-                return p if my == mz == 0 else _Line._of((diagonal + mz - my, low + my, coeffs))
-            return _Line._of((diagonal + mz - my, low + my, [c * mc for c in coeffs]))
-        other = _as_line(terms)
-        if other is None:  # not on one dense diagonal
-            return _mul_terms(p._terms, terms)
-    d, l, c = other
-    if len(coeffs) < len(c):
-        coeffs, c = c, coeffs
-    if len(c) >= _PACK_MIN_TERMS:
-        ((_, (_, out)),) = _mul_packed({0: (0, coeffs)}, {0: (0, c)}).items()
-    else:  # schoolbook: one scaled copy of the longer list per entry of the shorter
-        n = len(coeffs)
-        out = [0] * (n + len(c) - 1)
-        for i, x in enumerate(c):
-            if x:
-                row = coeffs if x == 1 else map(mul, coeffs, repeat(x))
-                out[i : i + n] = map(add, out[i : i + n], row)
-    return _Line._of((diagonal + d, low + l, out))
+    if q._line is None and len(q._terms) <= 1:  # a list times zero, ONE or a monomial
+        if not q._terms:
+            return _ZERO
+        diagonal, low, coeffs = p._line
+        ((my, mz), mc), = q._terms.items()
+        if mc == 1:
+            return p if my == mz == 0 else _Line._of((diagonal + mz - my, low + my, coeffs))
+        return _Line._of((diagonal + mz - my, low + my, [c * mc for c in coeffs]))
+    row_pairs = _diagonals(p) * _diagonals(q)  # counted before any row is built
+    if row_pairs > 1:  # else the product is one row: a list
+        n_q = len(q._terms)  # a dict: p is the list if either is
+        n_p = len(p._terms) if p._line is None else len(p._line[2]) - p._line[2].count(0)
+        if not n_p >= _PACK_MIN_TERMS <= n_q or n_p * n_q < _PACK_MIN_PAIRS_PER_ROW_PAIR * row_pairs:
+            return BiPoly._raw(_mul_dict(p._terms, q._terms))
+    rows_p, rows_q = _rows(p), _rows(q)
+    if rows_p is None or rows_q is None:
+        return BiPoly._raw(_mul_dict(p._terms, q._terms))
+    if row_pairs == 1:
+        ((dp, (lp, cp)),), ((dq, (lq, cq)),) = rows_p.items(), rows_q.items()
+        if len(cp) < len(cq):
+            cp, cq = cq, cp
+        if len(cq) < _PACK_MIN_TERMS:  # one scaled copy of the longer list per entry
+            n = len(cp)
+            out = [0] * (n + len(cq) - 1)
+            for i, x in enumerate(cq):
+                if x:
+                    row = cp if x == 1 else map(mul, cp, repeat(x))
+                    out[i : i + n] = map(add, out[i : i + n], row)
+            return _Line._of((dp + dq, lp + lq, out))
+    rows = _mul_packed(rows_p, rows_q)
+    if len(rows) == 1:
+        ((diagonal, (low, coeffs)),) = rows.items()
+        return _Line._of((diagonal, low, coeffs))
+    return BiPoly._raw({
+        (low + i, low + i + row): c
+        for row, (low, coeffs) in rows.items()
+        for i, c in enumerate(coeffs)
+        if c
+    })
 
 
-# When to pack (``BiPoly.__mul__``).  The dict loop costs one step per
+# When to pack (``_mul_rows``).  The dict loop costs one step per
 # term pair; the packed product costs a few steps per term (packing and
 # unpacking) and per pair of rows.  On operands recorded from real counts
 # (CHANGES.md has the table), packing lost to the dict loop whenever the
@@ -477,62 +496,32 @@ def _mul_dict(a: dict, b: dict) -> dict:
     return acc
 
 
-def _mul_terms(a: dict, b: dict) -> BiPoly:
-    """Product of two term dicts of two or more terms each: packed when both
-    have enough terms, term pairs per row pair and slots per term."""
-    if len(a) >= _PACK_MIN_TERMS <= len(b):
-        rows_a, rows_b = _rows(a), _rows(b)
-        if (
-            len(a) * len(b) >= _PACK_MIN_PAIRS_PER_ROW_PAIR * len(rows_a) * len(rows_b)
-            and _slots(rows_a) <= 2 * len(a)
-            and _slots(rows_b) <= 2 * len(b)
-        ):
-            rows = _mul_packed(_listed(rows_a), _listed(rows_b))
-            if len(rows) == 1:
-                ((diagonal, (low, coeffs)),) = rows.items()
-                return _Line._of((diagonal, low, coeffs))
-            return BiPoly._raw({
-                (low + i, low + i + row): c
-                for row, (low, coeffs) in rows.items()
-                for i, c in enumerate(coeffs)
-                if c
-            })
-    return BiPoly._raw(_mul_dict(a, b))
+def _diagonals(poly: BiPoly) -> int:
+    """How many rows ``poly`` has, counted without building them."""
+    return 1 if poly._line is not None else len({dz - dy for dy, dz in poly._terms})
 
 
-def _rows(terms: dict) -> dict[int, dict[int, int]]:
-    """``terms`` grouped into rows: diagonal dz - dy -> {dy: coefficient}."""
-    rows: dict[int, dict[int, int]] = {}
-    for (dy, dz), coeff in terms.items():
-        rows.setdefault(dz - dy, {})[dy] = coeff
-    return rows
-
-
-def _slots(rows: dict[int, dict[int, int]]) -> int:
-    """How many slots the rows span in all, from each lowest dy to its highest."""
-    return sum(max(slots) - min(slots) + 1 for slots in rows.values())
-
-
-def _listed(rows: dict[int, dict[int, int]]) -> dict[int, tuple[int, list[int]]]:
-    """Each row as (lowest dy, coefficient list from there to its highest dy)."""
-    listed = {}
-    for row, slots in rows.items():
-        lowest = min(slots)
-        coeffs = [0] * (max(slots) - lowest + 1)
-        for slot, coeff in slots.items():
-            coeffs[slot - lowest] = coeff
-        listed[row] = (lowest, coeffs)
-    return listed
-
-
-def _as_line(terms: dict) -> tuple[int, int, list[int]] | None:
-    """``terms`` as a line (diagonal, lowest dy, coefficients) if they lie on
-    one diagonal and span at most two slots per term; else None."""
-    rows = _rows(terms)
-    if len(rows) > 1 or _slots(rows) > 2 * len(terms):
+def _rows(poly: BiPoly) -> dict[int, tuple[int, list[int]]] | None:
+    """``poly`` as rows, diagonal dz - dy -> (lowest dy, coefficient list up
+    to its highest dy): a list is its one row, and a dict's terms grouped by
+    diagonal, or None if the rows would span over two slots per term."""
+    if poly._line is not None:
+        diagonal, low, coeffs = poly._line
+        return {diagonal: (low, coeffs)}
+    grouped: dict[int, dict[int, int]] = {}
+    for (dy, dz), coeff in poly._terms.items():
+        grouped.setdefault(dz - dy, {})[dy] = coeff
+    spans = {row: (min(slots), max(slots)) for row, slots in grouped.items()}
+    if sum(high - low + 1 for low, high in spans.values()) > 2 * len(poly._terms):
         return None
-    ((diagonal, (low, coeffs)),) = _listed(rows).items()
-    return diagonal, low, coeffs
+    rows = {}
+    for row, slots in grouped.items():
+        low, high = spans[row]
+        coeffs = [0] * (high - low + 1)
+        for slot, coeff in slots.items():
+            coeffs[slot - low] = coeff
+        rows[row] = (low, coeffs)
+    return rows
 
 
 def _mul_packed(
@@ -577,7 +566,6 @@ def _pack(coeffs: list[int], width: int) -> int:
 
 
 _ZERO = BiPoly.zero()
-_ONE_TERMS = {(0, 0): 1}
 
 #: Shared immutable constants; safe because instances are never mutated.
 ZERO = _ZERO

@@ -42,4 +42,5 @@ class KTooSmall(SubtreeCountError):
 
 
 class TooLarge(SubtreeCountError):
-    """Input exceeds the size bound of the brute-force oracle."""
+    """Input exceeds a size bound: the CLI's input length or the
+    brute-force oracle's vertex count."""

@@ -4,6 +4,8 @@ import pytest
 
 from functools import partial
 
+from hypothesis import settings
+
 from subtreecount import (
     ZERO,
     BiPoly,
@@ -21,6 +23,10 @@ from subtreecount import (
 )
 
 ENSEMBLE_BASE_SEED = 0xC0FFEE
+
+# ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
+# (5 times the default); CI runs tests/test_bipoly.py so.
+settings.register_profile("ci", max_examples=500)
 
 
 def fold_pendant(wt, u, fold):

@@ -26,10 +26,8 @@ from subtreecount.bipoly import (
     _Line,
     _PACK_MIN_TERMS,
     _RunningSum,
-    _listed,
     _mul_dict,
     _mul_packed,
-    _rows,
 )
 
 from conftest import _capped_subtrees_by_size
@@ -300,8 +298,20 @@ operands = st.one_of(line_terms(), grid_terms)
 small_factors = st.sampled_from([{}, {(0, 0): 1}, {(3, 1): 2**70 + 1}, {(0, 2): 5}])
 
 
+def rows_of(terms: dict) -> dict[int, tuple[int, list[int]]]:
+    """``terms`` as rows, diagonal -> (lowest dy, coefficient list), however
+    far apart the terms are (the library's ``_rows`` refuses sparse ones)."""
+    grouped: dict[int, dict[int, int]] = {}
+    for (dy, dz), c in terms.items():
+        grouped.setdefault(dz - dy, {})[dy] = c
+    return {
+        row: (min(slots), [slots.get(dy, 0) for dy in range(min(slots), max(slots) + 1)])
+        for row, slots in grouped.items()
+    }
+
+
 def packed(a: dict, b: dict) -> dict:
-    rows = _mul_packed(_listed(_rows(a)), _listed(_rows(b)))
+    rows = _mul_packed(rows_of(a), rows_of(b))
     return {
         (low + i, low + i + row): c
         for row, (low, coeffs) in rows.items()
@@ -437,6 +447,52 @@ def test_packed_bc_counts_match_the_dict_loop(monkeypatch):
     assert not calls
 
 
+
+def product_kinds() -> dict[str, BiPoly]:
+    """One operand of each shape that ``*`` tells apart."""
+    return {
+        "zero": ZERO,
+        "ONE": ONE,
+        "monomial": BiPoly.monomial(1, 2, 3),
+        "monomial, coefficient 3": BiPoly.monomial(3, 1, 4),
+        "short dict, one diagonal": BiPoly({(i, i + 1): i + 1 for i in range(3)}),
+        "short dict, one diagonal, gaps": BiPoly({(i, i + 1): i + 1 for i in range(0, 10, 2)}),
+        "short dict, two diagonals": BiPoly({(0, 0): 1, (1, 1): 2, (1, 2): 3, (2, 3): 4}),
+        "long dense dict, one diagonal": BiPoly({(i, i + 1): i + 1 for i in range(20)}),
+        "BC count (42 terms, 8 diagonals)": count_bc_all(random_tree(30, 3), 4),
+        "long dict, terms 10^5 apart": BiPoly({(i * 10**5, i * 10**5): i + 1 for i in range(8)}),
+        "list": _Line._of((-1, 1, [3, 1, 0, 2, 1, 1, 5, 1, 1, 1, 2])),
+        "list, another diagonal": _Line._of((2, 0, list(range(1, 13)))),
+    }
+
+
+# The stored form of each product, row = left operand and column = right
+# operand in ``product_kinds`` order: L for the list form, D for the dict.
+PRODUCT_FORMS = [
+    "DDDDDDDDDDDD",
+    "DDDDDDDDDDLL",
+    "DDDDDDDDDDLL",
+    "DDDDDDDDDDLL",
+    "DDDDDDDDDDLL",
+    "DDDDDDDDDDLL",
+    "DDDDDDDDDDDD",
+    "DDDDDDDLDDLL",
+    "DDDDDDDDDDDD",
+    "DDDDDDDDDDDD",
+    "DLLLLLDLDDLL",
+    "DLLLLLDLDDLL",
+]
+
+
+def test_every_operand_pair_keeps_its_product_terms_and_form():
+    kinds = list(product_kinds().items())
+    for (left, a), forms_of_a in zip(kinds, PRODUCT_FORMS, strict=True):
+        for (right, b), form in zip(kinds, forms_of_a, strict=True):
+            product = a * b
+            assert product.terms() == _mul_dict(a.terms(), b.terms()), (left, right)
+            assert ("D" if product._line is None else "L") == form, (left, right)
+
+
 @st.composite
 def touching_lines(draw):
     """A line's terms, and a dense, shorter run of terms on its diagonal
@@ -455,8 +511,8 @@ def test_list_sums_walk_only_the_shorter_list(lines):
     # The list form's twin of the test above: the longer line is copied
     # whole, the shorter one (a line, or the dict it is made of) walked in.
     a, b = lines
-    (diagonal, (low, coeffs)), = _listed(_rows(a)).items()
-    (_, (low_b, coeffs_b)), = _listed(_rows(b)).items()
+    (diagonal, (low, coeffs)), = rows_of(a).items()
+    (_, (low_b, coeffs_b)), = rows_of(b).items()
     watched = _Line._of((diagonal, low, _UnwalkedList(coeffs)))
     expected = dict(Counter(a) + Counter(b))
     for small in (BiPoly(b), _Line._of((diagonal, low_b, coeffs_b))):
@@ -474,10 +530,9 @@ def forms(terms: dict) -> list[BiPoly]:
     """``terms`` in the dict form, and in the list form where it can be held
     so (short enough a span to list: not SPARSE_LINE)."""
     out = [BiPoly(terms)]
-    rows = _rows(terms)
-    span = sum(max(slots) - min(slots) + 1 for slots in rows.values())
-    if len(rows) == 1 and len(terms) >= _PACK_MIN_TERMS and span <= 200:
-        (diagonal, (low, coeffs)), = _listed(rows).items()
+    diagonals, dys = {dz - dy for dy, dz in terms}, [dy for dy, _ in terms]
+    if len(diagonals) == 1 and len(terms) >= _PACK_MIN_TERMS and max(dys) - min(dys) < 200:
+        (diagonal, (low, coeffs)), = rows_of(terms).items()
         out.append(_Line._of((diagonal, low, coeffs)))
     return out
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subtreecount as sc
-from subtreecount import BiPoly, bc_enum, parse_edge_list, random_tree, subtree_enum
+from subtreecount import BiPoly, bc_enum, cli, parse_edge_list, random_tree, subtree_enum
 from subtreecount.cli import build_parser, main
 from subtreecount.experiments import aggregate_path
 
@@ -200,6 +200,27 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     big.write_text("".join(f"{u} {v}\n" for u, v in random_tree(16, 0).edges))
     assert run(capsys, "oracle", "--k", "2", str(big))[0] == 2
     assert run(capsys, "subtrees", "--k", "2", str(tmp_path / "missing.txt"))[0] == 2
+
+
+
+def test_input_one_character_over_the_limit_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(PATH3) - 1)
+    over = tmp_path / "over.txt"
+    over.write_text(PATH3)
+    code, out, err = run(capsys, "subtrees", "--k", "2", str(over))
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stdin_one_character_over_the_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(PATH3) - 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(PATH3))
+    code, out, err = run(capsys, "subtrees", "--k", "2")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_input_exactly_at_the_limit_counts(capsys, monkeypatch, path3_file):
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(PATH3))
+    assert run(capsys, "subtrees", "--k", "2", path3_file) == (0, "6\n", "")
 
 
 def test_non_utf8_input_is_a_data_error(tmp_path):
