@@ -146,11 +146,14 @@ def rooted_parity_vectors(
     ``finished``, if given, is called as ``finished(row, lo)`` with every
     eliminated vertex's final row and lo, once per pass (lo = 0 in its own
     colour's pass, 1 in the other): its downward row there, of the branch
-    it cuts off from ``root``.  On a plain Tree the passes run at the cap
-    that can bind (see ``tree.as_weighted``), so those rows may be shorter
-    than k+1; the result is padded with zeros to length k+1.
+    it cuts off from ``root``, as the door built it (``tree.as_weighted``):
+    a product row where the cap cannot bind, so read it from lo by range
+    sums.  On a plain Tree only the root starts full, at the cap that can
+    bind, since its rows are the result; that is padded to length k+1.
     """
-    wt, cap, _ = as_weighted(t, k, ParityDegreeVector, (root,), full_rows=True)
+    wt, cap, _ = as_weighted(t, k, ParityDegreeVector, (root,))
+    if isinstance(t, Tree):
+        wt = wt._reweighted({**wt._vertex_weights, root: ParityDegreeVector.initial(cap)})
     keep = frozenset([root])
     own, other = (_contract(p, cap, keep, finished)[root].entries for p in _colour_passes(wt, root))
     pad = (ZERO,) * (k - cap)

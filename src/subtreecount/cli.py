@@ -130,7 +130,8 @@ def _load_tree(args) -> Tree:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if len(text) > MAX_INPUT_CHARS:
         raise TooLarge(f"input longer than {MAX_INPUT_CHARS} characters")
-    return parse_edge_list(text)
+    # A byte-order mark, which some editors write first, is not label text.
+    return parse_edge_list(text.removeprefix("\ufeff"))
 
 
 def _read_bounded(handle) -> str:

@@ -31,9 +31,10 @@ from typing import Sequence
 
 from .bc_enum import ParityDegreeVector
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import InvalidArgument, LengthMismatch, TooLarge, UnknownVertex
+from .errors import InvalidArgument, LengthMismatch, UnknownVertex
 from .subtree_enum import DegreeVector
-from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k, require_int
+from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k
+from .tree import require_int, require_size
 
 #: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -295,9 +296,7 @@ def _checked(
     tree, the custom weights (None for a plain Tree) and the anchors."""
     weights = t if isinstance(t, WeightedTree) else None
     tree = t if weights is None else weights.tree
-    n = len(tree.vertices)
-    if n > ORACLE_MAX_VERTICES:
-        raise TooLarge(f"{n} vertices exceeds the oracle bound {ORACLE_MAX_VERTICES}")
+    require_size(tree, ORACLE_MAX_VERTICES, "oracle")
     require_int(k, least_k(family))
     anchors = check_anchors(tree, anchors)
     if weights is not None:

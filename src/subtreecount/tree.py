@@ -31,6 +31,7 @@ from .errors import (
     NotATree,
     ParseError,
     SameVertex,
+    TooLarge,
     TooManyAnchors,
     UnknownVertex,
 )
@@ -39,8 +40,12 @@ from .errors import (
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ParseError(f"vertex label must be a non-empty string, got {label!r}")
-    if "#" in label or label.split() != [label]:
-        raise ParseError(f"vertex label {label!r} contains '#' or whitespace")
+    # Every whitespace character but the space is unprintable, as are NUL
+    # and the other control characters.
+    if "#" in label or " " in label or not label.isprintable():
+        raise ParseError(
+            f"vertex label {label!r} contains '#', whitespace or an unprintable character"
+        )
     return label
 
 
@@ -373,6 +378,14 @@ class WeightedTree:
 #: degree exactly k also count cap k-1, so they need one more.
 LEAST_K = {"subtree": 0, "bc": 2}
 
+#: The most vertices a count takes: a larger tree raises TooLarge at the
+#: door (``as_weighted``) before anything is built.  It bounds the input's
+#: size, not the time of BC counts on bushy trees, which grows much faster
+#: than n: ``count_bc_all(random_tree(n, 1), 8)`` took 0.09 s at n = 400 and
+#: 2.5 s at n = 800 (Python 3.11, a 2-vCPU machine).  It stays at least
+#: 5,000, the length of the long paths the tests count.
+MAX_VERTICES = 10_000
+
 
 def least_k(family: str) -> int:
     """The least degree cap of ``family``, once it is known to be a family."""
@@ -399,26 +412,35 @@ def _binding_cap(t: Tree, k: int, family: str) -> int:
     return min(k, max(t.max_degree(), least_k(family)))
 
 
+def require_size(t: Tree, bound: int, what: str) -> None:
+    """Check that ``t`` has at most ``bound`` vertices; raise TooLarge if not."""
+    if len(t.vertices) > bound:
+        raise TooLarge(f"{len(t.vertices)} vertices exceeds the {what} bound {bound}")
+
+
 def as_weighted(
     t: Tree | WeightedTree,
     k: int,
     vector_type,
     anchors: Sequence[str] = (),
-    full_rows: bool = False,
     vertex_weight: BiPoly = Y,
     edge_weight: BiPoly = Z,
 ) -> tuple[WeightedTree, int, tuple[str, ...]]:
-    """The door of every count: ``(wt, cap, anchors)``, once k (against the
-    family's least cap), then the anchors (``check_anchors``), then a
-    WeightedTree's vectors (each a ``vector_type`` fitting k) pass.  A
-    WeightedTree comes back as it is, with cap = k.  For a Tree, cap is k
-    clamped by ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge and
-    ``initial(cap, vertex_weight)`` at every vertex, or, unless ``full_rows``,
-    the product rows (subtree_enum) where the degree is at most cap.  The
-    vertices share these two vectors, which count no bare vertex (``_starting``)."""
-    require_int(k, least_k(vector_type.family))
+    """The door of every count: ``(wt, cap, anchors)``, once the size (at
+    most ``MAX_VERTICES`` vertices), then k (against the family's least
+    cap), then the anchors (``check_anchors``), then a WeightedTree's
+    vectors (each a ``vector_type`` fitting k) pass.  A WeightedTree comes
+    back as it is, with cap = k.  For a Tree, cap is k clamped by
+    ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge, a product
+    row (subtree_enum: heads, then the sum of the rest, read from lo by
+    range sums) where the cap cannot bind (degree <= cap), else a full row
+    ``initial(cap, vertex_weight)``; these shared rows count no bare vertex
+    (``_starting``)."""
     weighted = isinstance(t, WeightedTree)
-    anchors = check_anchors(t.tree if weighted else t, anchors)
+    tree = t.tree if weighted else t
+    require_size(tree, MAX_VERTICES, "count")
+    require_int(k, least_k(vector_type.family))
+    anchors = check_anchors(tree, anchors)
     if weighted:
         for v in t.tree.vertices:
             vec = t.vector(v)
@@ -429,7 +451,7 @@ def as_weighted(
         return t, k, anchors
     cap = _binding_cap(t, k, vector_type.family)
     full = vector_type.initial(cap, vertex_weight)
-    product = full if full_rows else vector_type._product(vertex_weight)
+    product = vector_type._product(vertex_weight)
     start = {v: product if len(ns) <= cap else full for v, ns in t._adj.items()}
     wt = WeightedTree(t, start, dict.fromkeys(t.edges, edge_weight))
     wt._starting = True

@@ -331,3 +331,40 @@ def test_malformed_weights_raise_invalid_argument():
     assert count_all(WeightedTree(t, vectors, weights), 2) == BiPoly.parse(
         "3*y + 3*y^2*z + 2*y^3*z^2"
     )
+
+
+#: Each count through the door, and its oracle reference at the limit.
+SIZED_COUNTS = {
+    "count_all": (count_all, oracle_count),
+    "count_bc_all": (count_bc_all, lambda t, k: oracle_count(t, k, "bc")),
+    "rooted_parity_vectors": (
+        lambda t, k: rooted_parity_vectors(t, k, t.vertices[0]),
+        lambda t, k: ParityDegreeVector(*rooted_parity_sums(t, k, t.vertices[0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_COUNTS))
+def test_counts_refuse_trees_over_the_vertex_bound(monkeypatch, name):
+    count, reference = SIZED_COUNTS[name]
+    monkeypatch.setattr(tree, "MAX_VERTICES", 7)
+    over = random_tree(8, 3)
+    with pytest.raises(TooLarge):
+        count(over, 3)
+    with pytest.raises(TooLarge):  # before k is checked
+        count(over, -1)
+    at = random_tree(7, 3)
+    assert count(at, 3) == reference(at, 3)
+
+
+def test_cli_refuses_trees_over_the_vertex_bound(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tree, "MAX_VERTICES", 7)
+    for n, expected in ((8, None), (7, oracle_count(random_tree(7, 3), 3, "bc"))):
+        path = tmp_path / f"n{n}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in random_tree(n, 3).edges))
+        code = main(["bc", "--k", "3", str(path)])
+        out, err = capsys.readouterr()
+        if expected is None:
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert (code, out, err) == (0, f"{expected.eval_counts()}\n", "")

@@ -30,6 +30,7 @@ from subtreecount import (
 )
 
 from subtreecount import bc_enum, experiments
+from subtreecount.tree import as_weighted
 
 from conftest import (
     bc_all_rooted_at,
@@ -444,3 +445,27 @@ def test_rooted_vectors_match_oracle_under_general_weights():
             odd_sums, even_sums = rooted_parity_sums(wt, k, root)
             assert vec.odd == odd_sums, (trial, root)
             assert vec.even == even_sums, (trial, root)
+
+
+def test_rooted_vectors_on_a_tree_start_full_only_at_the_root():
+    # On a plain Tree only the root starts as a full row: every other
+    # vertex starts as the door's row, so finished sees the rows a count
+    # that hands in the door's WeightedTree sees, pass by pass, and the
+    # root's rows, the result, are still read entry by entry.
+    rng = random.Random(22)
+    for seed in range(24):
+        t = random_tree(rng.randint(1, 14), seed)
+        root = rng.choice(t.vertices)
+        for k in (2, 3, 5, max(t.max_degree(), 2) + 1):
+            full = WeightedTree(t, dict.fromkeys(t.vertices, ParityDegreeVector.initial(k)))
+            seen, door = [], []
+            vec = rooted_parity_vectors(
+                t, k, root, finished=lambda row, lo: seen.append((type(row), row, lo))
+            )
+            assert vec == rooted_parity_vectors(full, k, root)
+            rooted_parity_vectors(
+                as_weighted(t, k, ParityDegreeVector)[0], k, root,
+                finished=lambda row, lo: door.append((type(row), row, lo)),
+            )
+            assert len(seen) == 2 * (len(t.vertices) - 1)
+            assert seen == door

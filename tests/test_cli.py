@@ -237,6 +237,43 @@ def test_non_utf8_input_is_a_data_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+#: Inputs whose labels hold NUL, DEL or another control character: a
+#: binary file or a device read by mistake must not count as a tree.
+UNPRINTABLE_INPUTS = ["\x00", "a\x01 b", "\x7f", "\x00" * 100]
+
+
+@pytest.mark.parametrize("text", UNPRINTABLE_INPUTS, ids=["nul", "soh", "del", "100-nuls"])
+@pytest.mark.parametrize("door", ["parse_edge_list", "Tree", "file", "stdin"])
+def test_unprintable_labels_are_parse_errors(capsys, monkeypatch, tmp_path, door, text):
+    labels = text.split()
+    if door == "parse_edge_list":
+        with pytest.raises(sc.ParseError):
+            parse_edge_list(text)
+        return
+    if door == "Tree":
+        with pytest.raises(sc.ParseError):
+            sc.Tree(labels, [labels] if len(labels) == 2 else [])
+        return
+    if door == "file":
+        (tmp_path / "labels.txt").write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / "labels.txt")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = []
+    code, out, err = run(capsys, "subtrees", "--k", "2", *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_byte_order_mark_is_not_label_text(capsys, monkeypatch, tmp_path):
+    # A BOM is unprintable, so it would make the first label a parse error.
+    (tmp_path / "bom.txt").write_text("\ufeff" + PATH3, encoding="utf-8")
+    assert run(capsys, "subtrees", "--k", "2", "--contains", "a", str(tmp_path / "bom.txt")) == (
+        0, "3\n", ""
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + PATH3))
+    assert run(capsys, "subtrees", "--k", "2", "--contains", "a") == (0, "3\n", "")
+
+
 #: Edge-list texts built from a few labels, whole edges, and characters
 #: that str.split or str.splitlines treats specially, plus '#' and NUL.
 edge_list_bytes = st.lists(

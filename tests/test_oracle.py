@@ -237,5 +237,5 @@ def test_rooted_parity_sums_reject_product_rows(k):
     with pytest.raises(LengthMismatch):
         rooted_parity_sums(wt, k, "a")
     assert oracle_count(wt, k, "bc") == oracle_count(t, k, "bc")
-    full = as_weighted(t, 2, ParityDegreeVector, full_rows=True)[0]
+    full = WeightedTree(t, dict.fromkeys(t.vertices, ParityDegreeVector.initial(2)))
     assert rooted_parity_sums(full, 2, "a") == rooted_parity_sums(t, 2, "a")
