@@ -34,7 +34,7 @@ from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
 from .subtree_enum import range_sum, _require_polys
-from .tree import Tree, WeightedTree, as_weighted
+from .tree import Tree, WeightedTree, _as_weighted
 
 
 class ParityDegreeVector:
@@ -49,9 +49,8 @@ class ParityDegreeVector:
     family = "bc"
 
     def __init__(self, odd: Sequence[BiPoly], even: Sequence[BiPoly]):
-        odd = odd if type(odd) is _Product else tuple(odd)
-        even = even if type(even) is _Product else tuple(even)
-        if not odd or (type(odd) is not _Product and len(odd) != len(even)):
+        odd, even = tuple(odd), tuple(even)
+        if not odd or len(odd) != len(even):
             raise LengthMismatch(
                 f"odd/even vectors must have equal positive length, "
                 f"got {len(odd)} and {len(even)}"
@@ -79,10 +78,13 @@ class ParityDegreeVector:
     @classmethod
     def _product(cls, vertex_weight: BiPoly) -> "ParityDegreeVector":
         """The starting vectors as product rows, with heads 0..lo: (1, 0), (w)."""
-        return cls(_Product((ONE, ZERO, ZERO)), _Product((vertex_weight, ZERO)))
+        out = object.__new__(cls)
+        out._own = DegreeVector._row(_Product((vertex_weight, ZERO)), 0)
+        out._other = DegreeVector._row(_Product((ONE, ZERO, ZERO)), 1)
+        return out
 
     def _fits(self, k: int) -> bool:
-        """Whether cap k can count these vectors: product rows fit any cap."""
+        """Whether cap k can count these vectors (see ``DegreeVector._fits``)."""
         return self._other._fits(k)
 
     def truncated(self) -> "ParityDegreeVector":
@@ -146,18 +148,18 @@ def rooted_parity_vectors(
     ``finished``, if given, is called as ``finished(row, lo)`` with every
     eliminated vertex's final row and lo, once per pass (lo = 0 in its own
     colour's pass, 1 in the other): its downward row there, of the branch
-    it cuts off from ``root``, as the door built it (``tree.as_weighted``):
+    it cuts off from ``root``, as the door built it (``tree._as_weighted``):
     a product row where the cap cannot bind, so read it from lo by range
     sums.  On a plain Tree only the root starts full, at the cap that can
-    bind, since its rows are the result; that is padded to length k+1.
+    bind, since its rows are the result.  Every row returned is padded to
+    length k+1; the door's own root rows are read only from lo + 1 (``_tops``).
     """
-    wt, cap, _ = as_weighted(t, k, ParityDegreeVector, (root,))
+    wt, cap, _ = _as_weighted(t, k, ParityDegreeVector, (root,))
     if isinstance(t, Tree):
         wt = wt._reweighted({**wt._vertex_weights, root: ParityDegreeVector.initial(cap)})
     keep = frozenset([root])
     own, other = (_contract(p, cap, keep, finished)[root].entries for p in _colour_passes(wt, root))
-    pad = (ZERO,) * (k - cap)
-    return ParityDegreeVector(other + pad, own + pad) if pad else ParityDegreeVector(other, own)
+    return ParityDegreeVector(*(row + (ZERO,) * (k + 1 - len(row)) for row in (other, own)))
 
 
 def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
@@ -170,7 +172,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     root (see ``WeightedTree.contract``); counted at their top vertices,
     the results do not depend on the root or the elimination order.
     """
-    wt, k, _ = as_weighted(t, k, ParityDegreeVector)
+    wt, k, _ = _as_weighted(t, k, ParityDegreeVector)
     total = _RunningSum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.centroid(), finished=lambda row, lo: total.add(range_sum(row, lo + 1, k))
@@ -186,7 +188,7 @@ def count_bc_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     comes from v's final vector pair alone, less what custom input vectors
     of v count on their own.  An isolated v counts nothing.
     """
-    wt, k, _ = as_weighted(t, k, ParityDegreeVector, (v,))
+    wt, k, _ = _as_weighted(t, k, ParityDegreeVector, (v,))
     return _tops(rooted_parity_vectors(wt, k, v), k) - _bare(wt, k, [v])
 
 
@@ -196,7 +198,7 @@ def count_bc_containing_pair(
     """Generating function of BC-subtrees containing both vi and vj: the
     plain pair count (``subtree_enum._pair_product``) over both colour
     passes, whose ends are read from their own lo."""
-    wt, k, _ = as_weighted(t, k, ParityDegreeVector, (vi, vj))
+    wt, k, _ = _as_weighted(t, k, ParityDegreeVector, (vi, vj))
     return _pair_product(_colour_passes(wt, vi), k, wt.tree.path_between(vi, vj))
 
 

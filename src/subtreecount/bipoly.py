@@ -268,13 +268,13 @@ class BiPoly:
             match = _TERM_RE.match(term)
             if not match:
                 raise ParseError(f"cannot parse term {term!r}")
-            coeff = int(match.group("c")) if match.group("c") else 1
-            dy = 0
-            if "y" in term:
-                dy = int(match.group("dy")) if match.group("dy") else 1
-            dz = 0
-            if "z" in term:
-                dz = int(match.group("dz")) if match.group("dz") else 1
+            c, dy, dz = match.group("c", "dy", "dz")
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                coeff = int(c) if c else 1
+                dy = int(dy) if dy else int("y" in term)
+                dz = int(dz) if dz else int("z" in term)
+            except ValueError as exc:
+                raise ParseError(f"cannot parse term {term!r}: {exc}") from None
             if coeff:
                 key = (dy, dz)
                 acc[key] = acc.get(key, 0) + coeff

@@ -39,14 +39,10 @@ from .tree import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; remap to the usage exit code.
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidArgument(message)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -122,7 +118,8 @@ MAX_INPUT_CHARS = 16 * 2**20
 def _load_tree(args) -> Tree:
     try:
         if args.tree is not None:
-            with open(args.tree, "r", encoding="utf-8") as handle:
+            # newline="": line ends reach parse_edge_list as they are in the file.
+            with open(args.tree, "r", encoding="utf-8", newline="") as handle:
                 text = _read_bounded(handle)
         else:
             text = _read_bounded(sys.stdin)
@@ -152,7 +149,7 @@ def _anchors(args) -> tuple[str, ...]:
         return ()
     labels = tuple(part.strip() for part in args.contains.split(","))
     if not all(labels) or len(labels) > 2:
-        raise _UsageError(f"--contains takes one or two labels, got {args.contains!r}")
+        raise InvalidArgument(f"--contains takes one or two labels, got {args.contains!r}")
     return labels
 
 
@@ -190,12 +187,12 @@ def _run(args) -> int:
         return 0
     if args.command == "ratio":
         if args.samples < 1:
-            raise _UsageError("--samples must be >= 1")
+            raise InvalidArgument("--samples must be >= 1")
         records = ratio_sweep(args.n, args.samples, args.kmax, args.seed, args.family)
         emit_csv(records, args.out)
         return 0
     if args.json and not args.genfun:
-        raise _UsageError("--json only applies to --genfun output")
+        raise InvalidArgument("--json only applies to --genfun output")
     poly = _count_poly(args, _load_tree(args))
     if args.genfun:
         if args.json:
@@ -212,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (_UsageError, InvalidArgument) as exc:
+    except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (OSError, SubtreeCountError) as exc:

@@ -42,5 +42,5 @@ class KTooSmall(SubtreeCountError):
 
 
 class TooLarge(SubtreeCountError):
-    """Input exceeds a size bound: the CLI's input length, a count's vertex
-    count (``tree.MAX_VERTICES``) or the brute-force oracle's."""
+    """Input exceeds a size bound: the CLI's input length, the vertices of a
+    count or a random tree (``tree.MAX_VERTICES``) or the oracle's."""

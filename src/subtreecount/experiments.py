@@ -28,8 +28,8 @@ from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, count_bc_all
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, count_all
-from .tree import Tree, _binding_cap, as_weighted
-from .tree import least_k, random_tree, require_int
+from .tree import Tree, _as_weighted, _binding_cap
+from .tree import least_k, random_tree, require_int, require_size
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _unit_count(t: Tree, k: int, family: str) -> int:
         vector_type, count = ParityDegreeVector, count_bc_all
     else:
         vector_type, count = DegreeVector, count_all
-    wt, cap, _ = as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
+    wt, cap, _ = _as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
     return count(wt, cap).eval_counts()
 
 
@@ -66,6 +66,7 @@ def ratio_sweep(
     """
     k_lo = max(least_k(family), 1)
     require_int(n, k_lo + 1, "n")
+    require_size(n)
     require_int(samples, 0, "samples")
     require_int(k_max, k_lo, "k_max")
     require_int(seed, None, "seed")

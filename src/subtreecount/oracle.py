@@ -31,9 +31,9 @@ from typing import Sequence
 
 from .bc_enum import ParityDegreeVector
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
-from .errors import InvalidArgument, LengthMismatch, UnknownVertex
+from .errors import InvalidArgument, UnknownVertex
 from .subtree_enum import DegreeVector
-from .tree import Tree, WeightedTree, as_weighted, check_anchors, least_k
+from .tree import Tree, WeightedTree, _as_weighted, check_anchors, least_k
 from .tree import require_int, require_size
 
 #: The largest oracle input; enumeration is exponential in n.
@@ -292,16 +292,16 @@ def _checked(
     t: Tree | WeightedTree, k: int, family: str, anchors: Sequence[str]
 ) -> tuple[Tree, WeightedTree | None, tuple[str, ...]]:
     """The oracle's door: n, then k, then the anchors, then a WeightedTree's
-    vectors, as every count checks them (``as_weighted``).  Returns the
+    vectors, as every count checks them (``_as_weighted``).  Returns the
     tree, the custom weights (None for a plain Tree) and the anchors."""
     weights = t if isinstance(t, WeightedTree) else None
     tree = t if weights is None else weights.tree
-    require_size(tree, ORACLE_MAX_VERTICES, "oracle")
+    require_size(len(tree.vertices), ORACLE_MAX_VERTICES, "oracle")
     require_int(k, least_k(family))
     anchors = check_anchors(tree, anchors)
     if weights is not None:
         vector_type = DegreeVector if family == "subtree" else ParityDegreeVector
-        as_weighted(weights, k, vector_type, anchors)
+        _as_weighted(weights, k, vector_type, anchors)
     return tree, weights, anchors
 
 
@@ -331,13 +331,9 @@ def rooted_parity_sums(
 ) -> tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]]:
     """Definitional sums of the rooted parity weights over all witnesses
     containing ``root``: one odd and one even vector, indexed by root degree.
-    Checks n, then k, then the root, then custom weights (``_checked``),
-    which must be full rows of length k + 1, before any work."""
+    Checks n, then k, then the root, then custom weights (``_checked``)
+    before any work."""
     tree, weights, _ = _checked(t, k, "bc", (root,))
-    for v in tree.vertices if weights is not None else ():
-        vec = weights.vector(v)  # a product row lumps its tail: entry j is not there
-        if type(vec.odd) is not tuple or type(vec.even) is not tuple:
-            raise LengthMismatch(f"vertex {v!r} needs full rows of length {k + 1}")
     odd_vec, even_vec = _parity_vecs(weights, root, k)
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .bipoly import BiPoly, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
-from .tree import Tree, WeightedTree, as_weighted, least_k, require_int
+from .tree import Tree, WeightedTree, _as_weighted, least_k, require_int
 
 
 class _Product(tuple):
@@ -67,7 +67,7 @@ def exact_degree(
     bind on a plain Tree it is zero: no subtree has that maximum degree.
     """
     require_int(k, least_k(vector_type.family) + 1)
-    wt, cap, anchors = as_weighted(t, k, vector_type, anchors)
+    wt, cap, anchors = _as_weighted(t, k, vector_type, anchors)
     if cap < k:
         return ZERO
     count = modes[len(anchors)]
@@ -113,7 +113,8 @@ class DegreeVector:
         return cls._row(_Product((vertex_weight,)), 0)
 
     def _fits(self, k: int) -> bool:
-        """Whether cap k can count this vector: a product row fits any cap."""
+        """Whether cap k can count this vector; a product row, only ever the
+        door's (``tree._as_weighted``), passes here at the cap it was built for."""
         return type(self.entries) is _Product or len(self.entries) == k + 1
 
     def truncated(self) -> "DegreeVector":
@@ -191,7 +192,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     subtree is counted once, at the first of its vertices to be eliminated
     (or at the survivor), from that vertex's downward vector.
     """
-    wt, k, _ = as_weighted(t, k, DegreeVector)
+    wt, k, _ = _as_weighted(t, k, DegreeVector)
     total = _RunningSum()
     survivors = _contract(wt, k, frozenset(), lambda row, lo: total.add(range_sum(row, 0, k)))
     (last,) = survivors.values()
@@ -201,13 +202,13 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
 
 def count_containing(t: Tree | WeightedTree, k: int, v: str) -> BiPoly:
     """Generating function of subtrees containing vertex v, max degree <= k."""
-    wt, k, _ = as_weighted(t, k, DegreeVector, (v,))
+    wt, k, _ = _as_weighted(t, k, DegreeVector, (v,))
     return _contract(wt, k, frozenset([v]))[v].sum_range(0, k)
 
 
 def count_containing_pair(t: Tree | WeightedTree, k: int, vi: str, vj: str) -> BiPoly:
     """Generating function of subtrees containing both vi and vj."""
-    wt, k, _ = as_weighted(t, k, DegreeVector, (vi, vj))
+    wt, k, _ = _as_weighted(t, k, DegreeVector, (vi, vj))
     return _pair_product([wt], k, wt.tree.path_between(vi, vj))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, Y, Z
@@ -214,27 +215,23 @@ class Tree:
 def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list text format into a Tree."""
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    # Only "\n" ends a line and only spaces and tabs part labels: labels refuse the rest.
+    for lineno, raw in enumerate(text.replace("\t", " ").split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" ")
         if not line or line.startswith("#"):
             continue
-        rows.append((lineno, line.split()))
+        labels = line.split(" ")  # empty strings only where spaces or tabs repeat
+        rows.append((lineno, [label for label in labels if label] if "" in labels else labels))
     if not rows:
         raise ParseError("no edges or vertices in input")
     if len(rows) == 1 and len(rows[0][1]) == 1:
         return Tree([rows[0][1][0]], [])
-    vertices: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    edges = []
     for lineno, tokens in rows:
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {' '.join(tokens)!r}")
-        for label in tokens:
-            if label not in seen:
-                seen.add(label)
-                vertices.append(label)
-        edges.append((tokens[0], tokens[1]))
-    return Tree(vertices, edges)
+        edges.append(tokens)
+    return Tree(list(dict.fromkeys(chain.from_iterable(edges))), edges)
 
 
 def render_edge_list(t: Tree) -> str:
@@ -280,6 +277,7 @@ def random_tree(n: int, seed: int) -> Tree:
     be an int: ``None`` would draw from system entropy.
     """
     require_int(n, 1, "n")
+    require_size(n)
     require_int(seed, None, "seed")
     labels = [f"v{i}" for i in range(1, n + 1)]
     if n == 1:
@@ -319,7 +317,7 @@ class WeightedTree:
         self.tree = tree
         self._vertex_weights = dict(vertex_weights)
         self._edge_weights = ew
-        # True only for the starting vectors of ``as_weighted``.
+        # True only for the starting vectors of ``_as_weighted``.
         self._starting = False
 
     def vector(self, v: str):
@@ -379,11 +377,12 @@ class WeightedTree:
 LEAST_K = {"subtree": 0, "bc": 2}
 
 #: The most vertices a count takes: a larger tree raises TooLarge at the
-#: door (``as_weighted``) before anything is built.  It bounds the input's
-#: size, not the time of BC counts on bushy trees, which grows much faster
-#: than n: ``count_bc_all(random_tree(n, 1), 8)`` took 0.09 s at n = 400 and
-#: 2.5 s at n = 800 (Python 3.11, a 2-vCPU machine).  It stays at least
-#: 5,000, the length of the long paths the tests count.
+#: door (``_as_weighted``) before anything is built, as a larger n does in
+#: ``random_tree`` and ``ratio_sweep``.  It bounds the input's size, not the
+#: time of BC counts on bushy trees, which grows much faster than n:
+#: ``count_bc_all(random_tree(n, 1), 8)`` took 0.09 s at n = 400 and 2.5 s
+#: at n = 800 (Python 3.11, a 2-vCPU machine).  It stays at least 5,000, the
+#: length of the long paths the tests count.
 MAX_VERTICES = 10_000
 
 
@@ -412,13 +411,14 @@ def _binding_cap(t: Tree, k: int, family: str) -> int:
     return min(k, max(t.max_degree(), least_k(family)))
 
 
-def require_size(t: Tree, bound: int, what: str) -> None:
-    """Check that ``t`` has at most ``bound`` vertices; raise TooLarge if not."""
-    if len(t.vertices) > bound:
-        raise TooLarge(f"{len(t.vertices)} vertices exceeds the {what} bound {bound}")
+def require_size(n: int, bound: int | None = None, what: str = "count") -> None:
+    """Raise TooLarge if n vertices exceed ``bound`` (default: ``MAX_VERTICES``)."""
+    bound = MAX_VERTICES if bound is None else bound
+    if n > bound:
+        raise TooLarge(f"{n} vertices exceeds the {what} bound {bound}")
 
 
-def as_weighted(
+def _as_weighted(
     t: Tree | WeightedTree,
     k: int,
     vector_type,
@@ -435,10 +435,11 @@ def as_weighted(
     row (subtree_enum: heads, then the sum of the rest, read from lo by
     range sums) where the cap cannot bind (degree <= cap), else a full row
     ``initial(cap, vertex_weight)``; these shared rows count no bare vertex
-    (``_starting``)."""
+    (``_starting``).  Product rows are right only at that cap, where alone
+    the counts pass them on; the door is private, so no other WeightedTree holds one."""
     weighted = isinstance(t, WeightedTree)
     tree = t.tree if weighted else t
-    require_size(tree, MAX_VERTICES, "count")
+    require_size(len(tree.vertices))
     require_int(k, least_k(vector_type.family))
     anchors = check_anchors(tree, anchors)
     if weighted:

@@ -347,24 +347,37 @@ SIZED_COUNTS = {
 @pytest.mark.parametrize("name", sorted(SIZED_COUNTS))
 def test_counts_refuse_trees_over_the_vertex_bound(monkeypatch, name):
     count, reference = SIZED_COUNTS[name]
+    over, at = random_tree(8, 3), random_tree(7, 3)  # random_tree checks n too
     monkeypatch.setattr(tree, "MAX_VERTICES", 7)
-    over = random_tree(8, 3)
     with pytest.raises(TooLarge):
         count(over, 3)
     with pytest.raises(TooLarge):  # before k is checked
         count(over, -1)
-    at = random_tree(7, 3)
     assert count(at, 3) == reference(at, 3)
 
 
 def test_cli_refuses_trees_over_the_vertex_bound(capsys, monkeypatch, tmp_path):
+    for n in (8, 7):  # written before the bound drops, since random_tree checks n too
+        path = tmp_path / f"n{n}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in random_tree(n, 3).edges))
     monkeypatch.setattr(tree, "MAX_VERTICES", 7)
     for n, expected in ((8, None), (7, oracle_count(random_tree(7, 3), 3, "bc"))):
         path = tmp_path / f"n{n}.txt"
-        path.write_text("".join(f"{u} {v}\n" for u, v in random_tree(n, 3).edges))
         code = main(["bc", "--k", "3", str(path)])
         out, err = capsys.readouterr()
         if expected is None:
             assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
         else:
             assert (code, out, err) == (0, f"{expected.eval_counts()}\n", "")
+
+
+def test_random_trees_refuse_n_over_the_vertex_bound(capsys, monkeypatch):
+    monkeypatch.setattr(tree, "MAX_VERTICES", 7)
+    with pytest.raises(TooLarge):
+        random_tree(8, 0)
+    assert len(random_tree(7, 0).vertices) == 7
+    code = main(["random-tree", "--n", "8", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(TooLarge):
+        ratio_sweep(8, 2, 3, 0)

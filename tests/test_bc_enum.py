@@ -30,7 +30,7 @@ from subtreecount import (
 )
 
 from subtreecount import bc_enum, experiments
-from subtreecount.tree import as_weighted
+from subtreecount.tree import _as_weighted
 
 from conftest import (
     bc_all_rooted_at,
@@ -464,8 +464,26 @@ def test_rooted_vectors_on_a_tree_start_full_only_at_the_root():
             )
             assert vec == rooted_parity_vectors(full, k, root)
             rooted_parity_vectors(
-                as_weighted(t, k, ParityDegreeVector)[0], k, root,
+                _as_weighted(t, k, ParityDegreeVector)[0], k, root,
                 finished=lambda row, lo: door.append((type(row), row, lo)),
             )
             assert len(seen) == 2 * (len(t.vertices) - 1)
             assert seen == door
+
+
+def test_parity_vectors_take_equal_length_rows_and_store_tuples():
+    # The door's rows where the cap cannot bind are product rows: at k = 3
+    # the odd row of a leaf (lo = 1) keeps entries 0 and 1 then rest, the
+    # even row (lo = 0) entry 0 then rest.  The public constructor takes
+    # equal-length rows only and stores them as plain tuples.
+    t = parse_edge_list("a b\nb c\nc d\n")
+    rows = {}
+    rooted_parity_vectors(t, 3, "b", finished=lambda row, lo: rows.setdefault(lo, row))
+    odd, even = rows[1], rows[0]
+    assert (len(odd), len(even)) == (3, 2)
+    with pytest.raises(LengthMismatch):
+        ParityDegreeVector(odd, even)
+    for pair in ((odd, odd), (even, even), (list(odd), (ONE, Y, Z))):
+        vec = ParityDegreeVector(*pair)
+        assert type(vec.odd) is tuple and type(vec.even) is tuple
+        assert (vec.odd, vec.even) == tuple(map(tuple, pair))

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from collections import Counter
 
@@ -111,6 +112,17 @@ def test_parse_rejects_garbage():
     for text in ("", "y +", "q^2", "y^-1", "1*"):
         with pytest.raises(ParseError):
             P(text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no limit on int digits"
+)
+@pytest.mark.parametrize(
+    "text", ["y^" + "9" * 5000, "9" * 5000 + "*y"], ids=["exponent", "coefficient"]
+)
+def test_parse_refuses_numbers_past_the_int_digit_limit(text):
+    with pytest.raises(ParseError):
+        P(text)
 
 
 def test_json_round_trip_shape():

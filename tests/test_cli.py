@@ -293,7 +293,7 @@ ADVERSARIAL_COMMANDS = (
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
 @given(edge_list_bytes)
 @example(b"a b\na b\n")  # a duplicate edge
 @example(b"a a\n")  # a self-loop
@@ -303,6 +303,7 @@ ADVERSARIAL_COMMANDS = (
 @example(b"a\nb c\n")  # a lone label beside pairs
 @example(b"a b\n\xff c\n")  # not UTF-8
 @example(b"a b\nb c\n")  # a path
+@example(b"a b\rb c\n")  # a lone carriage return, not a line end
 def test_adversarial_edge_lists_exit_cleanly(tmp_path_factory, data):
     tree_file = tmp_path_factory.getbasetemp() / "adversarial.txt"
     tree_file.write_bytes(data)

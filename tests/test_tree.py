@@ -77,6 +77,19 @@ def test_parse_rejects_malformed_lines():
         parse_edge_list("# only a comment")
 
 
+@pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028", "\x0c"])
+def test_parse_ends_lines_at_newlines_only(separator):
+    # str.splitlines would break line 2 here and report it as line 3.
+    with pytest.raises(ParseError, match="line 2"):
+        parse_edge_list(f"a b\nb c{separator}c d d\n")
+
+
+def test_parse_takes_crlf_line_ends_and_tab_separated_pairs():
+    expected = parse_edge_list("a b\nb c\nc d\n")
+    assert parse_edge_list("a b\r\nb\tc\r\n \t c \t\td\t\r\n") == expected
+    assert parse_edge_list("a\r\n").vertices == ("a",)
+
+
 def test_constructor_rejects_self_loop_and_bad_counts():
     with pytest.raises(NotATree):
         Tree(["a"], [("a", "a")])
