@@ -34,7 +34,7 @@ from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
 from .subtree_enum import range_sum, _require_polys
-from .tree import Tree, WeightedTree, _as_weighted
+from .tree import Tree, WeightedTree, _as_weighted, _require_short_rows
 
 
 class ParityDegreeVector:
@@ -152,9 +152,11 @@ def rooted_parity_vectors(
     a product row where the cap cannot bind, so read it from lo by range
     sums.  On a plain Tree only the root starts full, at the cap that can
     bind, since its rows are the result.  Every row returned is padded to
-    length k+1; the door's own root rows are read only from lo + 1 (``_tops``).
+    length k+1, so on a plain Tree k may not exceed ``tree.MAX_VERTICES``
+    (TooLarge); the door's own root rows are read only from lo + 1 (``_tops``).
     """
     wt, cap, _ = _as_weighted(t, k, ParityDegreeVector, (root,))
+    _require_short_rows(t, k)
     if isinstance(t, Tree):
         wt = wt._reweighted({**wt._vertex_weights, root: ParityDegreeVector.initial(cap)})
     keep = frozenset([root])

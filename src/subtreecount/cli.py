@@ -9,22 +9,23 @@ Subcommands:
 * ``ratio``        density sweep over random trees, written as CSV
 
 Trees are read from a trailing file path, or from standard input when no
-path is given, up to ``MAX_INPUT_CHARS`` characters.  Counting commands
-print a plain decimal count; with ``--genfun`` they print the generating
-function instead (canonical text, or the JSON term list with ``--json``).
-Weights are fixed to the standard initialization here; callers needing
-custom weights use the library API.
+path is given, as bytes decoded as strict UTF-8, up to ``MAX_INPUT_CHARS``
+characters.  Counting commands print a plain decimal count; with
+``--genfun`` they print the generating function instead (canonical text,
+or the JSON term list with ``--json``).  Weights are fixed to the standard
+initialization here; callers needing custom weights use the library API.
 
 Exit codes: 0 success, 1 usage error (including flag values the library
 rejects as an InvalidArgument), 2 data error (unreadable or bad tree,
-unknown vertex, k below the operation's minimum, input longer than
-``MAX_INPUT_CHARS``, oracle input too large) or a count that ran out of
-memory or stack.
+closed standard input, unknown vertex, k below the operation's minimum,
+input longer than ``MAX_INPUT_CHARS``, oracle input too large) or a count
+that ran out of memory or stack.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import sys
@@ -109,38 +110,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: The most characters a tree file or standard input may hold (16 Mi), far
 #: above any tree a count can finish: a random 100,000-vertex tree's edge
-#: list has about 1.4 million.  At most one more is read, so an endless pipe
-#: or a device such as /dev/zero ends in TooLarge, not in running out of
-#: memory.
+#: list has about 1.4 million.  Both are read as bytes, at most one 64 KiB
+#: chunk past the limit, so an endless pipe or a device such as /dev/zero
+#: ends in TooLarge, not in running out of memory.
 MAX_INPUT_CHARS = 16 * 2**20
 
 
 def _load_tree(args) -> Tree:
     try:
         if args.tree is not None:
-            # newline="": line ends reach parse_edge_list as they are in the file.
-            with open(args.tree, "r", encoding="utf-8", newline="") as handle:
-                text = _read_bounded(handle)
+            with open(args.tree, "rb") as stream:
+                text = _read_bounded(stream)
+        elif sys.stdin is None:  # closed, as under <&-
+            raise ParseError("no standard input to read")
         else:
-            text = _read_bounded(sys.stdin)
+            text = _read_bounded(sys.stdin.buffer)
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if len(text) > MAX_INPUT_CHARS:
         raise TooLarge(f"input longer than {MAX_INPUT_CHARS} characters")
-    # A byte-order mark, which some editors write first, is not label text.
-    return parse_edge_list(text.removeprefix("\ufeff"))
+    return parse_edge_list(text)
 
 
-def _read_bounded(handle) -> str:
-    """At most ``MAX_INPUT_CHARS + 1`` characters of ``handle``, read in
-    chunks, so memory follows the input's length and not the limit."""
-    parts, size = [], 0
+def _read_bounded(stream) -> str:
+    """``stream``'s bytes decoded as strict UTF-8, a leading byte-order mark
+    skipped, in 64 KiB chunks until end of input or past ``MAX_INPUT_CHARS``."""
+    decoder, parts, size = codecs.getincrementaldecoder("utf-8-sig")(), [], 0
     while size <= MAX_INPUT_CHARS:
-        part = handle.read(min(2**16, MAX_INPUT_CHARS + 1 - size))
-        if not part:
+        chunk = stream.read(2**16)
+        parts.append(decoder.decode(chunk, final=not chunk))
+        size += len(parts[-1])
+        if not chunk:
             break
-        parts.append(part)
-        size += len(part)
     return "".join(parts)
 
 

@@ -34,7 +34,7 @@ from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, UnknownVertex
 from .subtree_enum import DegreeVector
 from .tree import Tree, WeightedTree, _as_weighted, check_anchors, least_k
-from .tree import require_int, require_size
+from .tree import _require_short_rows, require_int, require_size
 
 #: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -331,9 +331,11 @@ def rooted_parity_sums(
 ) -> tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]]:
     """Definitional sums of the rooted parity weights over all witnesses
     containing ``root``: one odd and one even vector, indexed by root degree.
-    Checks n, then k, then the root, then custom weights (``_checked``)
-    before any work."""
+    Checks n, then k, then the root, then custom weights (``_checked``),
+    then, on a plain Tree, whose vectors are padded to k + 1 entries, that
+    k is at most ``tree.MAX_VERTICES``, before any work."""
     tree, weights, _ = _checked(t, k, "bc", (root,))
+    _require_short_rows(t, k)
     odd_vec, even_vec = _parity_vecs(weights, root, k)
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)

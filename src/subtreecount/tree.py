@@ -418,6 +418,14 @@ def require_size(n: int, bound: int | None = None, what: str = "count") -> None:
         raise TooLarge(f"{n} vertices exceeds the {what} bound {bound}")
 
 
+def _require_short_rows(t: Tree | WeightedTree, k: int) -> None:
+    """Raise TooLarge before a plain Tree's rows are padded to k + 1 > 1 +
+    ``MAX_VERTICES`` entries: no degree exceeds n - 1, so no entry past that
+    bound can be non-zero.  A WeightedTree already holds its k + 1 entries."""
+    if isinstance(t, Tree) and k > MAX_VERTICES:
+        raise TooLarge(f"k = {k} exceeds the bound {MAX_VERTICES} on padded rows")
+
+
 def _as_weighted(
     t: Tree | WeightedTree,
     k: int,

@@ -326,6 +326,8 @@ def test_malformed_weights_raise_invalid_argument():
     ):
         with pytest.raises(InvalidArgument):
             call()
+    with pytest.raises(LengthMismatch, match="a degree vector needs at least one entry"):
+        DegreeVector([])
     # A reversed pair still names its edge.
     weights = {("b", "a"): BiPoly.parse("2*z"), ("b", "c"): Z}
     assert count_all(WeightedTree(t, vectors, weights), 2) == BiPoly.parse(
@@ -354,6 +356,25 @@ def test_counts_refuse_trees_over_the_vertex_bound(monkeypatch, name):
     with pytest.raises(TooLarge):  # before k is checked
         count(over, -1)
     assert count(at, 3) == reference(at, 3)
+
+
+#: The rooted calls, which pad a plain Tree's rows to k + 1 entries.
+ROOTED_ROWS = {
+    "rooted_parity_vectors": lambda t, k: rooted_parity_vectors(t, k, t.vertices[0]),
+    "rooted_parity_sums": lambda t, k: ParityDegreeVector(*rooted_parity_sums(t, k, t.vertices[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTED_ROWS))
+def test_rooted_rows_refuse_k_over_the_vertex_bound(name):
+    rows = ROOTED_ROWS[name]
+    t = random_tree(8, 3)
+    with pytest.raises(TooLarge):
+        rows(t, tree.MAX_VERTICES + 1)
+    # No degree of an 8-vertex tree exceeds 7: the rest of each row is padding.
+    vec, short = rows(t, tree.MAX_VERTICES), rows(t, 7)
+    pad = (ZERO,) * (tree.MAX_VERTICES - 7)
+    assert (vec.odd, vec.even) == (short.odd + pad, short.even + pad)
 
 
 def test_cli_refuses_trees_over_the_vertex_bound(capsys, monkeypatch, tmp_path):

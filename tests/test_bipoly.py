@@ -1,4 +1,5 @@
 import json
+import pickle
 import sys
 import time
 from collections import Counter
@@ -591,3 +592,11 @@ def test_both_forms_give_the_same_results(a, b):
             assert other.max_coefficient() == first.max_coefficient()
             assert bool(other) and other.terms() == terms
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_list_form_polynomial_pickles_as_a_list():
+    path = Tree([f"v{i}" for i in range(31)], [(f"v{i}", f"v{i + 1}") for i in range(30)])
+    poly = count_all(path, 2)
+    assert type(poly) is _Line
+    copy = pickle.loads(pickle.dumps(poly))
+    assert type(copy) is _Line and copy._line == poly._line and copy == poly

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(data: bytes | str):
+    """Patch ``sys.stdin`` to hold ``data`` (a str as UTF-8) behind a latin-1
+    text layer, which the CLI must not read through: it reads the bytes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+
+
 def test_subtrees_count(capsys, path3_file):
     code, out, _ = run(capsys, "subtrees", "--k", "2", path3_file)
     assert code == 0
@@ -67,11 +76,9 @@ def test_bc_count(capsys, path3_file):
     assert out == "1\n"
 
 
-def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(PATH3))
-    code, out, _ = run(capsys, "subtrees", "--k", "2")
+def test_stdin_input(capsys):
+    with stdin_of(PATH3):
+        code, out, _ = run(capsys, "subtrees", "--k", "2")
     assert code == 0
     assert out == "6\n"
 
@@ -200,6 +207,9 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     big.write_text("".join(f"{u} {v}\n" for u, v in random_tree(16, 0).edges))
     assert run(capsys, "oracle", "--k", "2", str(big))[0] == 2
     assert run(capsys, "subtrees", "--k", "2", str(tmp_path / "missing.txt"))[0] == 2
+    with mock.patch.object(sys, "stdin", None):  # closed, as under <&-
+        code, out, err = run(capsys, "subtrees", "--k", "2")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 
@@ -213,14 +223,16 @@ def test_input_one_character_over_the_limit_exits_2(capsys, monkeypatch, tmp_pat
 
 def test_stdin_one_character_over_the_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(PATH3) - 1)
-    monkeypatch.setattr("sys.stdin", io.StringIO(PATH3))
-    code, out, err = run(capsys, "subtrees", "--k", "2")
+    with stdin_of(PATH3):
+        code, out, err = run(capsys, "subtrees", "--k", "2")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_input_exactly_at_the_limit_counts(capsys, monkeypatch, path3_file):
     monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(PATH3))
     assert run(capsys, "subtrees", "--k", "2", path3_file) == (0, "6\n", "")
+    with stdin_of(PATH3):
+        assert run(capsys, "subtrees", "--k", "2") == (0, "6\n", "")
 
 
 def test_non_utf8_input_is_a_data_error(tmp_path):
@@ -244,7 +256,7 @@ UNPRINTABLE_INPUTS = ["\x00", "a\x01 b", "\x7f", "\x00" * 100]
 
 @pytest.mark.parametrize("text", UNPRINTABLE_INPUTS, ids=["nul", "soh", "del", "100-nuls"])
 @pytest.mark.parametrize("door", ["parse_edge_list", "Tree", "file", "stdin"])
-def test_unprintable_labels_are_parse_errors(capsys, monkeypatch, tmp_path, door, text):
+def test_unprintable_labels_are_parse_errors(capsys, tmp_path, door, text):
     labels = text.split()
     if door == "parse_edge_list":
         with pytest.raises(sc.ParseError):
@@ -256,22 +268,21 @@ def test_unprintable_labels_are_parse_errors(capsys, monkeypatch, tmp_path, door
         return
     if door == "file":
         (tmp_path / "labels.txt").write_text(text, encoding="utf-8")
-        argv = [str(tmp_path / "labels.txt")]
+        code, out, err = run(capsys, "subtrees", "--k", "2", str(tmp_path / "labels.txt"))
     else:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        argv = []
-    code, out, err = run(capsys, "subtrees", "--k", "2", *argv)
+        with stdin_of(text):
+            code, out, err = run(capsys, "subtrees", "--k", "2")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_a_byte_order_mark_is_not_label_text(capsys, monkeypatch, tmp_path):
+def test_a_byte_order_mark_is_not_label_text(capsys, tmp_path):
     # A BOM is unprintable, so it would make the first label a parse error.
     (tmp_path / "bom.txt").write_text("\ufeff" + PATH3, encoding="utf-8")
     assert run(capsys, "subtrees", "--k", "2", "--contains", "a", str(tmp_path / "bom.txt")) == (
         0, "3\n", ""
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + PATH3))
-    assert run(capsys, "subtrees", "--k", "2", "--contains", "a") == (0, "3\n", "")
+    with stdin_of("\ufeff" + PATH3):
+        assert run(capsys, "subtrees", "--k", "2", "--contains", "a") == (0, "3\n", "")
 
 
 #: Edge-list texts built from a few labels, whole edges, and characters
@@ -304,6 +315,8 @@ ADVERSARIAL_COMMANDS = (
 @example(b"a b\n\xff c\n")  # not UTF-8
 @example(b"a b\nb c\n")  # a path
 @example(b"a b\rb c\n")  # a lone carriage return, not a line end
+@example(b"a b\nb \xff\n")  # a path whose last label is not UTF-8
+@example(b"a b\nb c\xe2")  # a UTF-8 sequence cut short by the end of input
 def test_adversarial_edge_lists_exit_cleanly(tmp_path_factory, data):
     tree_file = tmp_path_factory.getbasetemp() / "adversarial.txt"
     tree_file.write_bytes(data)
@@ -313,12 +326,17 @@ def test_adversarial_edge_lists_exit_cleanly(tmp_path_factory, data):
     except (UnicodeDecodeError, sc.SubtreeCountError):
         parses = False
     for command in ADVERSARIAL_COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*command, str(tree_file)])
-        assert code in (0, 1, 2), (command, data)
-        assert code != 0 or parses, (command, data)
-        assert "Traceback" not in err.getvalue() + out.getvalue()
+        results = []
+        for argv, source in (([*command, str(tree_file)], contextlib.nullcontext()),
+                             (command, stdin_of(data))):
+            out, err = io.StringIO(), io.StringIO()
+            with source, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (command, data)
+            assert code != 0 or parses, (command, data)
+            assert "Traceback" not in err.getvalue() + out.getvalue()
+            results.append((code, out.getvalue()))
+        assert results[0] == results[1], (command, data)  # the file, then stdin
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])

@@ -97,6 +97,15 @@ def test_constructor_rejects_self_loop_and_bad_counts():
         Tree(["a", "b"], [])
     with pytest.raises(NotATree):
         Tree(["a", "b"], [("a", "c")])
+    # n - 1 edges, so only the walk from the first vertex finds "d" unreached.
+    with pytest.raises(NotATree, match="edge list is disconnected"):
+        Tree(list("abcd"), [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(NotATree, match="a tree needs at least one vertex"):
+        Tree([], [])
+    with pytest.raises(NotATree, match="duplicate vertex label"):
+        Tree(["a", "a"], [])
+    with pytest.raises(ParseError, match="vertex label must be a non-empty string"):
+        Tree([1], [])
 
 
 @pytest.mark.parametrize(
