@@ -14,46 +14,58 @@ Storage.  A polynomial has one of two stored forms; equality, hashing,
 text, JSON, ``terms()`` and ``eval_counts()`` depend only on its terms.
 
 * The dict form maps exponent pairs ``(dy, dz)`` to positive
-  coefficients; absent pairs have coefficient zero.  Every polynomial
-  starts in it: constants, monomials, parsed ones, BC generating
-  functions (whose terms spread over many diagonals ``dz - dy``) and
-  anything under ``_PACK_MIN_TERMS`` terms.
+  coefficients; absent pairs have coefficient zero.  Constants,
+  monomials and parsed or constructed polynomials start in it, and it
+  holds every result whose terms do not lie densely on one line: a BC
+  generating function of a branching tree spreads over many lines, and
+  anything under ``_LINE_MIN_TERMS`` terms stays a dict.
 * The list form (``_Line``) holds a polynomial of at least
-  ``_PACK_MIN_TERMS`` terms on one diagonal as ``(diagonal, lowest dy,
-  coefficient list)``, entry i being the coefficient of
-  ``y^(lowest + i) * z^(lowest + i + diagonal)``.  Plain-subtree
-  generating functions on a Tree lie on one diagonal (y^a z^(a-1), or
-  y^a z^a once times an edge weight), so nearly all their large products
-  and sums run on lists.  A product is a list when it comes out as one
-  row (see Products); a sum is, when its list parts lie on one diagonal
-  and their spans overlap or touch.  Any other combination falls back to
-  the dict form, so no list is longer than its operands' lists together,
-  whatever gaps the exponents have.  The term dict of a list-form
-  polynomial is built only when something asks for its terms (text,
-  JSON, equality, a difference, an operand the list form cannot take),
-  and kept.
+  ``_PACK_MIN_TERMS`` terms on one line ``dz - slope * dy = offset``,
+  slope 1 or 2, as ``(slope, offset, lowest dy, coefficient list)``,
+  entry i being the coefficient of ``y^(lowest + i) * z^(slope * (lowest
+  + i) + offset)``.  Plain-subtree generating functions on a Tree lie on
+  slope 1 (y^a z^(a-1), or y^a z^a once times an edge weight); the BC ones
+  of a path, and many BC rows of other trees, on slope 2 (a BC path of e
+  edges is y^(e/2+1) z^e).  Every operation hands back a list when its
+  result lies on one such line: a product that comes out as one row (see
+  Products), a list plus anything on its line whose span overlaps or
+  touches its own (one copy of the longer list and one C-level add), a
+  list times a monomial, and any term dict an operation builds (a
+  monomial shift, the double loop, a dict merge, ``BiPoly.sum``,
+  ``_RunningSum.total``, a difference) that has at least
+  ``_LINE_MIN_TERMS`` terms on one line, at most two slots per term.
+  Anything else falls back to the dict form, so no list is longer than
+  its operands' lists together, or than twice its terms when made from a
+  dict, whatever gaps the exponents have.  So a row that grows by one
+  term per fold, as a hub's or a path's does, becomes a list once and
+  stays one, and each later fold costs C-level list work, not a walk
+  over a dict.  The term dict of a list-form polynomial is built only
+  when something asks for its terms (text, JSON, equality, a difference,
+  an operand the list form cannot take), and kept.
 
-Products.  ``BiPoly.__mul__`` finishes a product of two dicts itself
-when that is cheap: with zero, with ONE (it returns the other operand),
-with a monomial (shift and scale) or with an operand under
-``_PACK_MIN_TERMS`` terms (a double loop over term pairs).  Every other
-product, any with a list operand and any of two larger dicts, takes one
-path, ``_mul_rows``.  There a list times zero, ONE or a monomial is
-shifted and scaled (a coefficient of 1 shares the list); else one
-converter, ``_rows``, reads each operand as rows, one per diagonal (a
-list is its one row).  Two single rows with a short one run schoolbook
-rows, one C-level pass over the longer list each.  Larger operands are
-multiplied by Kronecker substitution, so that CPython's big integer
-multiplication (Karatsuba) does the inner loop: a row is packed into one
-int with one byte-aligned slot per ``dy``, every pair of rows is
-multiplied, and each product is added into row ``r1 + r2`` and unpacked
-slot by slot; a product of one row is a list.  Operands too sparse, or
-with too few term pairs per row pair, take the double loop (see
-``_PACK_MIN_TERMS``).  The slot width is exact: coefficients are never
-negative, so every coefficient of the product, and every partial sum of
-row products, is at most ``eval(a) * eval(b)``, and slots of its bit
-length, rounded up to whole bytes, hold it without a carry.  Which path
-runs depends only on the operands' shape; all give the same terms.
+Products.  ``BiPoly.__mul__`` answers zero first, then ONE (by
+identity: it returns the other operand).  It finishes a product of two
+dicts itself when that is cheap: with a monomial (shift and scale) or
+with an operand under ``_PACK_MIN_TERMS`` terms (a double loop over term
+pairs).  Every other product, any with a list operand and any of two
+larger dicts, takes one path, ``_mul_rows``.  There a list times a
+monomial is shifted and scaled (a coefficient of 1 shares the list);
+else one converter, ``_rows``, reads each operand as rows along one
+slope, one row per line (a list on that slope is its one row): a list
+operand's slope, or for two dicts whichever slope gives fewer row
+pairs.  Two single rows with a short one run schoolbook rows, one
+C-level pass over the longer list each.  Larger operands are multiplied
+by Kronecker substitution, so that CPython's big integer multiplication
+(Karatsuba) does the inner loop: a row is packed into one int with one
+byte-aligned slot per ``dy``, every pair of rows is multiplied, and each
+product is added into row ``r1 + r2`` and unpacked slot by slot; a
+product of one row is a list.  Operands too sparse, or with too few term
+pairs per row pair, take the double loop (see ``_PACK_MIN_TERMS``).  The
+slot width is exact: coefficients are never negative, so every
+coefficient of the product, and every partial sum of row products, is
+at most ``eval(a) * eval(b)``, and slots of its bit length, rounded up
+to whole bytes, hold it without a carry.  Which path runs depends only
+on the operands' shape; all give the same terms.
 
 Canonical text form: terms sorted by (dz, dy) ascending, each rendered as
 ``c*y^a*z^b`` with ``^1`` elided and zero-exponent factors dropped; the
@@ -148,9 +160,17 @@ class BiPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
+        """A dict merge, or one copy and one C-level add on a shared line."""
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return BiPoly.sum((self, other))
+        if (self._line or other._line) is not None:  # either in the list form
+            return _add_lines(self, other)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        return _listed(_merged(a, b))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         """Termwise difference; the subtrahend must be dominated coefficientwise.
@@ -161,6 +181,8 @@ class BiPoly:
         """
         if not isinstance(other, BiPoly):
             return NotImplemented
+        if other._line is None and not other._terms:
+            return self
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             merged = acc.get(key, 0) - coeff
@@ -172,26 +194,24 @@ class BiPoly:
                 acc[key] = merged
             else:
                 acc.pop(key, None)
-        return BiPoly._raw(acc)
+        return _listed(acc)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
+        if self._line is None and not self._terms or other._line is None and not other._terms:
+            return _ZERO
+        if self is ONE or other is ONE:  # share the other operand
+            return other if self is ONE else self
         if (self._line or other._line) is not None:  # either in the list form
             return _mul_rows(self, other)
         a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
         if len(a) == 1 or len(b) == 1:  # a monomial shifts and scales the other
-            one = ONE._terms
-            if b == one or a == one:  # ONE: share the other operand
-                return self if b == one else other
-            mono, other = (a, b) if len(a) == 1 else (b, a)
+            mono, poly = (a, b) if len(a) == 1 else (b, a)
             ((my, mz), mc), = mono.items()
-            shifted = {(y + my, z + mz): c * mc for (y, z), c in other.items()}
-            return BiPoly._raw(shifted)
+            return _listed({(y + my, z + mz): c * mc for (y, z), c in poly.items()})
         if len(a) < _PACK_MIN_TERMS or len(b) < _PACK_MIN_TERMS:
-            return BiPoly._raw(_mul_dict(a, b))
+            return _listed(_mul_dict(a, b))
         return _mul_rows(self, other)
 
     @staticmethod
@@ -203,7 +223,7 @@ class BiPoly:
         arrives.  The smaller of the running sum and the next operand is
         walked into a copy of the larger, so the order of the operands does
         not set the cost.  From the first list-form operand on, the rest
-        is a ``_RunningSum``.  ``a + b`` is the sum of (a, b).
+        is a ``_RunningSum``.
         """
         first, acc = _ZERO, None
         items = iter(items)
@@ -227,7 +247,7 @@ class BiPoly:
                 terms, acc = acc, dict(terms)
             for key, coeff in terms.items():
                 acc[key] = acc.get(key, 0) + coeff
-        return first if acc is None else BiPoly._raw(acc)
+        return first if acc is None else _listed(acc)
 
     def _sorted_keys(self) -> list[tuple[int, int]]:
         return sorted(self._terms, key=lambda key: (key[1], key[0]))
@@ -314,14 +334,16 @@ _TERM_SLOT = BiPoly.__dict__["_terms"]
 
 
 class _Line(BiPoly):
-    """The list form (see the module docstring).  ``_line`` is ``(diagonal,
-    lowest dy, coefficients)``: at least ``_PACK_MIN_TERMS`` non-zero
-    coefficients, the first and the last of them non-zero."""
+    """The list form (see the module docstring).  ``_line`` is ``(slope,
+    offset, lowest dy, coefficients)``, entry i the coefficient of
+    ``y^(lowest + i) * z^(slope * (lowest + i) + offset)``: at least
+    ``_PACK_MIN_TERMS`` non-zero coefficients, the first and the last of
+    them non-zero."""
 
     __slots__ = ()
 
     @classmethod
-    def _of(cls, line: tuple[int, int, list[int]]) -> "_Line":
+    def _of(cls, line: tuple[int, int, int, list[int]]) -> "_Line":
         out = object.__new__(cls)
         out._line = line
         return out
@@ -332,13 +354,13 @@ class _Line(BiPoly):
         try:
             return _TERM_SLOT.__get__(self)
         except AttributeError:
-            diagonal, low, coeffs = self._line
-            terms = {(low + i, low + i + diagonal): c for i, c in enumerate(coeffs) if c}
+            slope, offset, low, coeffs = self._line
+            terms = {(dy, slope * dy + offset): c for dy, c in enumerate(coeffs, low) if c}
             _TERM_SLOT.__set__(self, terms)
             return terms
 
     def eval_counts(self) -> int:
-        return sum(self._line[2])
+        return sum(self._line[3])
 
     def __bool__(self) -> bool:
         return True
@@ -356,14 +378,113 @@ def _json_int(value: object) -> int:
     raise TypeError(f"not an int or a decimal string: {value!r}")
 
 
+# The lines a list may lie on: dz - slope * dy fixed.  Plain-subtree
+# polynomials lie on slope 1 (y^a z^(a-1)), BC ones often on slope 2 (a
+# BC path's y^(e/2+1) z^e).  A term dict made by an operation becomes a
+# list from ``_LINE_MIN_TERMS`` terms on: below that, checking and
+# converting cost more than the list form saves (CHANGES.md has the
+# measurements).
+_SLOPES = (1, 2)
+_LINE_MIN_TERMS = 24
+
+
+def _listed(terms: dict[tuple[int, int], int]) -> BiPoly:
+    """``terms`` (canonical, now owned by the result) in the list form if
+    there are at least ``_LINE_MIN_TERMS`` of them on one line, at most two
+    slots per term; else in the dict form."""
+    if len(terms) >= _LINE_MIN_TERMS:
+        for slope in _SLOPES:
+            line = _line_of(terms, slope)
+            if line is not None:
+                return _Line._of((slope, *line))
+    out = object.__new__(BiPoly)  # BiPoly._raw, inlined: this runs once per operation
+    out._terms, out._line = terms, None
+    return out
+
+
+def _line_of(terms: dict[tuple[int, int], int], slope: int) -> tuple[int, int, list[int]] | None:
+    """``(offset, lowest dy, coefficients)`` of a non-empty term dict on one
+    line ``dz - slope * dy = offset`` spanning at most two slots per term;
+    else None, as soon as a term leaves the line."""
+    keys = iter(terms)
+    dy, dz = next(keys)
+    offset, low, high = dz - slope * dy, dy, dy
+    for dy, dz in keys:
+        if dz - slope * dy != offset:
+            return None
+        if dy < low:
+            low = dy
+        elif dy > high:
+            high = dy
+    if high - low >= 2 * len(terms):
+        return None
+    coeffs = [0] * (high - low + 1)
+    for (dy, _), coeff in terms.items():
+        coeffs[dy - low] = coeff
+    return offset, low, coeffs
+
+
+def _merged(a: dict, b: dict) -> dict:
+    """a + b as a new term dict: the smaller walked into a copy of the larger,
+    so the order of the operands does not set the cost."""
+    if len(a) < len(b):
+        a, b = b, a
+    acc = dict(a)
+    for key, coeff in b.items():
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
+
+
+def _absorb(
+    line: tuple[int, int, int, list[int]], poly: BiPoly, owned: bool
+) -> tuple[int, int, int, list[int]] | None:
+    """``line`` plus the non-zero ``poly`` as one line, if ``poly`` lies on
+    it (read as ``_line_of`` reads a dict) and their spans overlap or touch;
+    else None.  The shorter list is added into a copy of the longer in one
+    C-level pass; ``line``'s own list is written in place when ``owned``."""
+    slope, offset, low, coeffs = line
+    if poly._line is not None:
+        s, o, l, c = poly._line
+        if s != slope or o != offset:
+            return None
+    else:
+        row = _line_of(poly._terms, slope)
+        if row is None or row[0] != offset:
+            return None
+        _, l, c = row
+    if l > low + len(coeffs) or l + len(c) < low:
+        return None
+    if len(c) > len(coeffs):
+        (low, coeffs), (l, c), owned = (l, c), (low, coeffs), False
+    if l < low:
+        coeffs, low = [0] * (low - l) + coeffs, l
+    elif not owned:
+        coeffs = coeffs[:]
+    at, end = l - low, l - low + len(c)
+    coeffs += [0] * (end - len(coeffs))
+    coeffs[at:end] = map(add, coeffs[at:end], c)
+    return slope, offset, low, coeffs
+
+
+def _add_lines(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p + q with p or q in the list form: on a shared line by ``_absorb``,
+    else by a dict merge."""
+    if p._line is None or q._line is not None and len(q._line[3]) > len(p._line[3]):
+        p, q = q, p  # p is the longer list
+    if q._line is None and not q._terms:
+        return p
+    line = _absorb(p._line, q, False)
+    return _listed(_merged(p._terms, q._terms)) if line is None else _Line._of(line)
+
+
 class _RunningSum:
     """A sum of polynomials, added to as they arrive.
 
     Unlike ``acc = acc + part``, adding a part costs only its own terms:
-    dict-form parts go into one term dict.  List-form parts on one
-    diagonal go into one coefficient list, the first part shared until a
-    second arrives; then the longer list is copied once and the shorter
-    walked into it, and later parts are walked into that copy.
+    dict-form parts go into one term dict.  List-form parts on one line
+    go into one coefficient list, the first part shared until a second
+    arrives; then the longer list is copied once and the shorter added
+    into it, and later parts are added into that copy.
     """
 
     __slots__ = ("_terms", "_line", "_owned")
@@ -378,71 +499,48 @@ class _RunningSum:
             if self._line is None:
                 self._line = poly
                 return
-            if self._absorb(_rows(poly)):
+            line = _absorb(self._line._line, poly, self._owned)
+            if line is not None:
+                self._line, self._owned = _Line._of(line), True
                 return
         terms = self._terms
         for key, coeff in poly._terms.items():
             terms[key] = terms.get(key, 0) + coeff
 
-    def _absorb(self, rows: dict[int, tuple[int, list[int]]] | None) -> bool:
-        """Add a polynomial's rows (``_rows``) into ``_line`` if they are one
-        row on its diagonal whose span overlaps or touches; else return False."""
-        diagonal, low, coeffs = self._line._line
-        if rows is None or rows.keys() != {diagonal}:
-            return False
-        l, c = rows[diagonal]
-        if l > low + len(coeffs) or l + len(c) < low:
-            return False
-        owned = self._owned
-        if len(c) > len(coeffs):  # walk the shorter list into a copy of the longer
-            (low, coeffs), (l, c), owned = (l, c), (low, coeffs), False
-        if l < low:
-            coeffs, low = [0] * (low - l) + coeffs, l
-        elif not owned:
-            coeffs = coeffs[:]
-        at, end = l - low, l - low + len(c)
-        coeffs += [0] * (end - len(coeffs))
-        coeffs[at:end] = map(add, coeffs[at:end], c)
-        self._line, self._owned = _Line._of((diagonal, low, coeffs)), True
-        return True
-
     def total(self) -> BiPoly:
         line, terms = self._line, self._terms
         if line is None:
-            return BiPoly._raw(dict(terms))
+            return _listed(dict(terms))
         if terms:
-            if not self._absorb(_rows(BiPoly._raw(terms))):
-                merged = dict(line._terms)
-                for key, coeff in terms.items():
-                    merged[key] = merged.get(key, 0) + coeff
-                return BiPoly._raw(merged)
-            line, self._terms = self._line, {}
+            merged = _absorb(line._line, BiPoly._raw(terms), self._owned)
+            if merged is None:
+                return _listed(_merged(line._terms, terms))
+            line = self._line = _Line._of(merged)
+            self._terms = {}
         self._owned = False  # the result holds the list now; a later add copies it
         return line
 
 
 def _mul_rows(p: BiPoly, q: BiPoly) -> BiPoly:
-    """p * q with p or q in the list form, or with two dicts of
-    ``_PACK_MIN_TERMS`` terms or more (see the module docstring)."""
+    """p * q, neither zero nor ONE, with p or q in the list form, or with two
+    dicts of ``_PACK_MIN_TERMS`` terms or more (see the module docstring)."""
     if p._line is None:
         p, q = q, p
-    if q._line is None and len(q._terms) <= 1:  # a list times zero, ONE or a monomial
-        if not q._terms:
-            return _ZERO
-        diagonal, low, coeffs = p._line
+    if q._line is None and len(q._terms) == 1:  # a list times a monomial
+        slope, offset, low, coeffs = p._line
         ((my, mz), mc), = q._terms.items()
-        if mc == 1:
-            return p if my == mz == 0 else _Line._of((diagonal + mz - my, low + my, coeffs))
-        return _Line._of((diagonal + mz - my, low + my, [c * mc for c in coeffs]))
-    row_pairs = _diagonals(p) * _diagonals(q)  # counted before any row is built
+        scaled = coeffs if mc == 1 else [c * mc for c in coeffs]
+        return _Line._of((slope, offset + mz - slope * my, low + my, scaled))
+    # Rows along a list operand's slope; for two dicts, the fewer row pairs.
+    slopes = {x._line[0] for x in (p, q) if x._line is not None} or _SLOPES
+    row_pairs, slope = min((_row_count(p, s) * _row_count(q, s), s) for s in slopes)
     if row_pairs > 1:  # else the product is one row: a list
-        n_q = len(q._terms)  # a dict: p is the list if either is
-        n_p = len(p._terms) if p._line is None else len(p._line[2]) - p._line[2].count(0)
+        n_p, n_q = _size(p), _size(q)
         if not n_p >= _PACK_MIN_TERMS <= n_q or n_p * n_q < _PACK_MIN_PAIRS_PER_ROW_PAIR * row_pairs:
-            return BiPoly._raw(_mul_dict(p._terms, q._terms))
-    rows_p, rows_q = _rows(p), _rows(q)
+            return _listed(_mul_dict(p._terms, q._terms))
+    rows_p, rows_q = _rows(p, slope), _rows(q, slope)
     if rows_p is None or rows_q is None:
-        return BiPoly._raw(_mul_dict(p._terms, q._terms))
+        return _listed(_mul_dict(p._terms, q._terms))
     if row_pairs == 1:
         ((dp, (lp, cp)),), ((dq, (lq, cq)),) = rows_p.items(), rows_q.items()
         if len(cp) < len(cq):
@@ -454,15 +552,15 @@ def _mul_rows(p: BiPoly, q: BiPoly) -> BiPoly:
                 if x:
                     row = cp if x == 1 else map(mul, cp, repeat(x))
                     out[i : i + n] = map(add, out[i : i + n], row)
-            return _Line._of((dp + dq, lp + lq, out))
+            return _Line._of((slope, dp + dq, lp + lq, out))
     rows = _mul_packed(rows_p, rows_q)
     if len(rows) == 1:
-        ((diagonal, (low, coeffs)),) = rows.items()
-        return _Line._of((diagonal, low, coeffs))
+        ((offset, (low, coeffs)),) = rows.items()
+        return _Line._of((slope, offset, low, coeffs))
     return BiPoly._raw({
-        (low + i, low + i + row): c
+        (dy, slope * dy + row): c
         for row, (low, coeffs) in rows.items()
-        for i, c in enumerate(coeffs)
+        for dy, c in enumerate(coeffs, low)
         if c
     })
 
@@ -496,21 +594,33 @@ def _mul_dict(a: dict, b: dict) -> dict:
     return acc
 
 
-def _diagonals(poly: BiPoly) -> int:
-    """How many rows ``poly`` has, counted without building them."""
-    return 1 if poly._line is not None else len({dz - dy for dy, dz in poly._terms})
+def _size(poly: BiPoly) -> int:
+    """How many terms ``poly`` has, counted without building a term dict."""
+    if poly._line is None:
+        return len(poly._terms)
+    coeffs = poly._line[3]
+    return len(coeffs) - coeffs.count(0)
 
 
-def _rows(poly: BiPoly) -> dict[int, tuple[int, list[int]]] | None:
-    """``poly`` as rows, diagonal dz - dy -> (lowest dy, coefficient list up
-    to its highest dy): a list is its one row, and a dict's terms grouped by
-    diagonal, or None if the rows would span over two slots per term."""
-    if poly._line is not None:
-        diagonal, low, coeffs = poly._line
-        return {diagonal: (low, coeffs)}
+def _row_count(poly: BiPoly, slope: int) -> int:
+    """How many rows ``poly`` has along ``slope``, counted without building them."""
+    line = poly._line
+    if line is not None and line[0] == slope:
+        return 1
+    return len({dz - slope * dy for dy, dz in poly._terms})
+
+
+def _rows(poly: BiPoly, slope: int) -> dict[int, tuple[int, list[int]]] | None:
+    """``poly`` as rows along ``slope``, offset dz - slope * dy -> (lowest dy,
+    coefficient list up to its highest dy): a list on that slope is its one
+    row, and any other polynomial's terms are grouped by offset, or None if
+    the rows would span over two slots per term."""
+    line = poly._line
+    if line is not None and line[0] == slope:
+        return {line[1]: (line[2], line[3])}
     grouped: dict[int, dict[int, int]] = {}
     for (dy, dz), coeff in poly._terms.items():
-        grouped.setdefault(dz - dy, {})[dy] = coeff
+        grouped.setdefault(dz - slope * dy, {})[dy] = coeff
     spans = {row: (min(slots), max(slots)) for row, slots in grouped.items()}
     if sum(high - low + 1 for low, high in spans.values()) > 2 * len(poly._terms):
         return None
@@ -529,9 +639,10 @@ def _mul_packed(
 ) -> dict[int, tuple[int, list[int]]]:
     """Product of two polynomials given as rows, by Kronecker substitution.
 
-    A row maps a diagonal dz - dy to (lowest dy, coefficient list), the
-    list non-zero at both ends; the product comes back the same way.  The
-    slot width cannot carry (see the module docstring).
+    A row maps an offset dz - slope * dy, one slope for both operands, to
+    (lowest dy, coefficient list), the list non-zero at both ends; the
+    product comes back the same way.  The slot width cannot carry (see the
+    module docstring).
     """
     total_a = sum(sum(coeffs) for _, coeffs in rows_a.values())
     total_b = sum(sum(coeffs) for _, coeffs in rows_b.values())

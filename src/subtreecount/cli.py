@@ -117,16 +117,13 @@ MAX_INPUT_CHARS = 16 * 2**20
 
 
 def _load_tree(args) -> Tree:
-    try:
-        if args.tree is not None:
-            with open(args.tree, "rb") as stream:
-                text = _read_bounded(stream)
-        elif sys.stdin is None:  # closed, as under <&-
-            raise ParseError("no standard input to read")
-        else:
-            text = _read_bounded(sys.stdin.buffer)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not UTF-8 text: {exc}") from None
+    if args.tree is not None:
+        with open(args.tree, "rb") as stream:
+            text = _read_bounded(stream)
+    elif sys.stdin is None:  # closed, as under <&-
+        raise ParseError("no standard input to read")
+    else:
+        text = _read_bounded(sys.stdin.buffer)
     if len(text) > MAX_INPUT_CHARS:
         raise TooLarge(f"input longer than {MAX_INPUT_CHARS} characters")
     return parse_edge_list(text)
@@ -134,11 +131,20 @@ def _load_tree(args) -> Tree:
 
 def _read_bounded(stream) -> str:
     """``stream``'s bytes decoded as strict UTF-8, a leading byte-order mark
-    skipped, in 64 KiB chunks until end of input or past ``MAX_INPUT_CHARS``."""
-    decoder, parts, size = codecs.getincrementaldecoder("utf-8-sig")(), [], 0
+    skipped, in 64 KiB chunks until end of input or past ``MAX_INPUT_CHARS``.
+    Bytes that are not UTF-8 raise ParseError with their offset in the input."""
+    decoder, parts, size, read = codecs.getincrementaldecoder("utf-8-sig")(), [], 0, 0
     while size <= MAX_INPUT_CHARS:
         chunk = stream.read(2**16)
-        parts.append(decoder.decode(chunk, final=not chunk))
+        read += len(chunk)
+        try:
+            parts.append(decoder.decode(chunk, final=not chunk))
+        except UnicodeDecodeError as exc:
+            # exc.object is the tail of the input read so far that the decoder held.
+            at, byte = read - len(exc.object) + exc.start, exc.object[exc.start]
+            raise ParseError(
+                f"input is not UTF-8 text: byte {byte:#04x} at offset {at}: {exc.reason}"
+            ) from None
         size += len(parts[-1])
         if not chunk:
             break

@@ -25,6 +25,7 @@ from subtreecount import (
     ratio_sweep,
 )
 from subtreecount.bipoly import (
+    _LINE_MIN_TERMS,
     _Line,
     _PACK_MIN_TERMS,
     _RunningSum,
@@ -298,10 +299,24 @@ coeffs = st.one_of(st.integers(1, 50), st.integers(2**64, 2**90))
 
 
 @st.composite
-def line_terms(draw):
-    diagonal = draw(st.integers(0, 4))
+def line_terms(draw, slopes=(1,)):
+    """8 to 30 terms on one line dz - slope * dy = offset, with gaps."""
+    slope, offset = draw(st.sampled_from(slopes)), draw(st.integers(0, 4))
     slots = draw(st.lists(st.integers(0, 40), min_size=8, max_size=30, unique=True))
-    return {(dy, dy + diagonal): draw(coeffs) for dy in slots}
+    return {(dy, slope * dy + offset): draw(coeffs) for dy in slots}
+
+
+@st.composite
+def dense_lines(
+    draw, slope, offset=st.integers(0, 4), low=st.integers(0, 30),
+    size=st.integers(_LINE_MIN_TERMS, 40),
+):
+    """A run of terms on consecutive dy on one line of ``slope``: at least
+    _LINE_MIN_TERMS of them by default, so an operation making it lists it.
+    The coefficients count up from one drawn value (drawing each one would
+    make drawing the slowest part of a test)."""
+    offset, low, size, first = draw(offset), draw(low), draw(size), draw(coeffs)
+    return {(dy, slope * dy + offset): first + i for i, dy in enumerate(range(low, low + size))}
 
 
 grid_terms = st.dictionaries(
@@ -311,12 +326,13 @@ operands = st.one_of(line_terms(), grid_terms)
 small_factors = st.sampled_from([{}, {(0, 0): 1}, {(3, 1): 2**70 + 1}, {(0, 2): 5}])
 
 
-def rows_of(terms: dict) -> dict[int, tuple[int, list[int]]]:
-    """``terms`` as rows, diagonal -> (lowest dy, coefficient list), however
-    far apart the terms are (the library's ``_rows`` refuses sparse ones)."""
+def rows_of(terms: dict, slope: int = 1) -> dict[int, tuple[int, list[int]]]:
+    """``terms`` as rows along ``slope``, offset dz - slope * dy -> (lowest
+    dy, coefficient list), however far apart the terms are (the library's
+    ``_rows`` refuses sparse ones)."""
     grouped: dict[int, dict[int, int]] = {}
     for (dy, dz), c in terms.items():
-        grouped.setdefault(dz - dy, {})[dy] = c
+        grouped.setdefault(dz - slope * dy, {})[dy] = c
     return {
         row: (min(slots), [slots.get(dy, 0) for dy in range(min(slots), max(slots) + 1)])
         for row, slots in grouped.items()
@@ -385,6 +401,41 @@ def _count_packed(monkeypatch):
 
     monkeypatch.setattr(bipoly, "_mul_packed", counted)
     return calls
+
+
+def _count_dict_results(monkeypatch):
+    """Record the term count of every dict-form result of ``+``, ``*``,
+    ``BiPoly.sum`` and ``_RunningSum.total`` with _LINE_MIN_TERMS terms or more."""
+    sizes = []
+
+    def watched(operation):
+        def run(*args):
+            out = operation(*args)
+            if out._line is None and len(out._terms) >= _LINE_MIN_TERMS:
+                sizes.append(len(out._terms))
+            return out
+
+        return run
+
+    for owner, name in ((BiPoly, "__add__"), (BiPoly, "__mul__"), (_RunningSum, "total")):
+        monkeypatch.setattr(owner, name, watched(getattr(owner, name)))
+    monkeypatch.setattr(BiPoly, "sum", staticmethod(watched(BiPoly.sum)))
+    return sizes
+
+
+def test_long_path_counts_build_no_long_dicts(monkeypatch):
+    # Every row of a path lies on one line (slope 1 for plain subtrees,
+    # slope 2 for BC ones), so every result past the list threshold, of a
+    # fold, a sum or a product, is a list: no fold walks a term dict.
+    n = 2000
+    labels = [f"v{i:05d}" for i in range(1, n + 1)]
+    path = Tree(labels, list(zip(labels, labels[1:])))
+    sizes = _count_dict_results(monkeypatch)
+    plain, bc = count_all(path, 2), count_bc_all(path, 2)
+    assert sizes == []
+    assert plain._line[0] == 1 and bc._line[0] == 2
+    assert plain.eval_counts() == n * (n + 1) // 2
+    assert bc.eval_counts() == sum(n - e for e in range(2, n, 2))
 
 
 def test_mul_packs_only_long_rows(monkeypatch):
@@ -474,26 +525,32 @@ def product_kinds() -> dict[str, BiPoly]:
         "long dense dict, one diagonal": BiPoly({(i, i + 1): i + 1 for i in range(20)}),
         "BC count (42 terms, 8 diagonals)": count_bc_all(random_tree(30, 3), 4),
         "long dict, terms 10^5 apart": BiPoly({(i * 10**5, i * 10**5): i + 1 for i in range(8)}),
-        "list": _Line._of((-1, 1, [3, 1, 0, 2, 1, 1, 5, 1, 1, 1, 2])),
-        "list, another diagonal": _Line._of((2, 0, list(range(1, 13)))),
+        "list": _Line._of((1, -1, 1, [3, 1, 0, 2, 1, 1, 5, 1, 1, 1, 2])),
+        "list, another diagonal": _Line._of((1, 2, 0, list(range(1, 13)))),
+        "list, slope 2": _Line._of((2, -1, 1, [2, 1, 0, 3, 1, 1, 4, 1, 1, 2])),
+        "dict past the list threshold, one diagonal": BiPoly(
+            {(i, i + 1): i + 1 for i in range(_LINE_MIN_TERMS + 6)}
+        ),
     }
 
 
 # The stored form of each product, row = left operand and column = right
 # operand in ``product_kinds`` order: L for the list form, D for the dict.
 PRODUCT_FORMS = [
-    "DDDDDDDDDDDD",
-    "DDDDDDDDDDLL",
-    "DDDDDDDDDDLL",
-    "DDDDDDDDDDLL",
-    "DDDDDDDDDDLL",
-    "DDDDDDDDDDLL",
-    "DDDDDDDDDDDD",
-    "DDDDDDDLDDLL",
-    "DDDDDDDDDDDD",
-    "DDDDDDDDDDDD",
-    "DLLLLLDLDDLL",
-    "DLLLLLDLDDLL",
+    "DDDDDDDDDDDDDD",
+    "DDDDDDDDDDLLLD",
+    "DDDDDDDDDDLLLL",
+    "DDDDDDDDDDLLLL",
+    "DDDDDDDDDDLLDL",
+    "DDDDDDDLDDLLDL",
+    "DDDDDDDDDDDDDD",
+    "DDDDDLDLDDLLDL",
+    "DDDDDDDDDDDDDD",
+    "DDDDDDDDDDDDDD",
+    "DLLLLLDLDDLLDL",
+    "DLLLLLDLDDLLDL",
+    "DLLLDDDDDDDDLD",
+    "DDLLLLDLDDLLDL",
 ]
 
 
@@ -526,16 +583,17 @@ def test_list_sums_walk_only_the_shorter_list(lines):
     a, b = lines
     (diagonal, (low, coeffs)), = rows_of(a).items()
     (_, (low_b, coeffs_b)), = rows_of(b).items()
-    watched = _Line._of((diagonal, low, _UnwalkedList(coeffs)))
+    watched = _Line._of((1, diagonal, low, _UnwalkedList(coeffs)))
     expected = dict(Counter(a) + Counter(b))
-    for small in (BiPoly(b), _Line._of((diagonal, low_b, coeffs_b))):
+    for small in (BiPoly(b), _Line._of((1, diagonal, low_b, coeffs_b))):
         for total in (small + watched, watched + small, BiPoly.sum([watched, ZERO, small])):
             assert total._line is not None and total.terms() == expected
 
 
-# The two stored forms.  A term dict on one diagonal with at least
-# _PACK_MIN_TERMS terms can also be held as a coefficient list (``_Line``);
-# every operation must give the same terms whichever form each operand is in.
+# The two stored forms.  A term dict on one line of slope 1 or 2 with at
+# least _PACK_MIN_TERMS terms can also be held as a coefficient list
+# (``_Line``); every operation must give the same terms whichever form each
+# operand is in.
 SPARSE_LINE = {(i * 10**9, i * 10**9): i + 1 for i in range(8)}
 
 
@@ -543,15 +601,19 @@ def forms(terms: dict) -> list[BiPoly]:
     """``terms`` in the dict form, and in the list form where it can be held
     so (short enough a span to list: not SPARSE_LINE)."""
     out = [BiPoly(terms)]
-    diagonals, dys = {dz - dy for dy, dz in terms}, [dy for dy, _ in terms]
-    if len(diagonals) == 1 and len(terms) >= _PACK_MIN_TERMS and max(dys) - min(dys) < 200:
-        (diagonal, (low, coeffs)), = rows_of(terms).items()
-        out.append(_Line._of((diagonal, low, coeffs)))
+    dys = [dy for dy, _ in terms]
+    for slope in (1, 2):
+        offsets = {dz - slope * dy for dy, dz in terms}
+        if len(offsets) == 1 and len(terms) >= _PACK_MIN_TERMS and max(dys) - min(dys) < 200:
+            (offset, (low, coeffs)), = rows_of(terms, slope).items()
+            out.append(_Line._of((slope, offset, low, coeffs)))
     return out
 
 
 form_operands = st.one_of(
-    line_terms(),
+    line_terms(slopes=(1, 2)),
+    dense_lines(1),
+    dense_lines(2),
     grid_terms,
     st.dictionaries(exponents, coeffs, max_size=8),
     st.just(SPARSE_LINE),
@@ -562,6 +624,8 @@ form_operands = st.one_of(
 @example({(i, i): 2**64 + i for i in range(8)}, {(i, i + 1): 1 for i in range(8)})
 @example({(i, i + 2): 2**70 + i for i in range(12)}, SPARSE_LINE)
 @example({(i, i): i + 1 for i in range(3, 30)}, {(i, i): 1 for i in range(8)})
+@example({(i, 2 * i + 1): i + 1 for i in range(30)}, {(i, 2 * i + 1): 2 for i in range(20, 50)})
+@example({(i, i): 1 for i in range(30)}, {(i, 2 * i): 1 for i in range(30)})  # mixed slopes
 def test_both_forms_give_the_same_results(a, b):
     start = time.perf_counter()
     product, total = _mul_dict(a, b), dict(Counter(a) + Counter(b))
@@ -592,6 +656,38 @@ def test_both_forms_give_the_same_results(a, b):
             assert other.max_coefficient() == first.max_coefficient()
             assert bool(other) and other.terms() == terms
     assert time.perf_counter() - start < 1.0
+
+
+@given(st.sampled_from([1, 2]), st.data())
+@example(2, None)
+def test_operations_on_one_line_give_lists(slope, data):
+    # A shift, a sum whose spans touch and a product of dicts on one line
+    # give the dict loop's terms in the list form, whatever form each
+    # operand is in; with a line of the other slope they give a dict.
+    if data is None:  # a BC path's row: y^(e/2 + 1) z^e for even e
+        a, b = ({(e // 2 + 1, e): 3 for e in range(2, 2 * n, 2)} for n in (30, 40))
+        m, other = {(1, 2): 1}, {(i, i): 1 for i in range(30)}
+    else:
+        a = data.draw(dense_lines(slope))
+        (low, dz), high, size = min(a), max(a)[0], data.draw(st.integers(2, 40))
+        start = st.integers(max(0, low - size), high + 1)  # touching or overlapping a
+        b = data.draw(dense_lines(slope, st.just(dz - slope * low), start, st.just(size)))
+        m = data.draw(monomials.filter(lambda m: m != {(0, 0): 1}))
+        other = data.draw(dense_lines(3 - slope))
+    shifted, total, product = _mul_dict(a, m), dict(Counter(a) + Counter(b)), _mul_dict(a, b)
+    mixed_total, mixed_product = dict(Counter(a) + Counter(other)), _mul_dict(a, other)
+    for x in forms(a):
+        for y in forms(b):
+            for result, expected in (
+                (x * BiPoly(m), shifted),
+                (x + y, total),
+                (BiPoly.sum([x, ZERO, y]), total),
+                (x * y, product),
+            ):
+                assert result._line is not None and result.terms() == expected
+        for y in forms(other):
+            for result, expected in ((x + y, mixed_total), (x * y, mixed_product)):
+                assert result._line is None and result.terms() == expected
 
 
 def test_a_list_form_polynomial_pickles_as_a_list():

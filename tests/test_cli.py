@@ -249,6 +249,24 @@ def test_non_utf8_input_is_a_data_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [
+        (b"a b\n" + b"b c\n" * 99_443 + b"c \xffd\n", 397_778),  # in the seventh 64 KiB chunk
+        (b"a b\nb c\xe2", 7),  # a sequence cut short by the end of input
+        (b"\xef\xbb\xbfa b\nb c\xe2(", 10),  # after a byte-order mark
+    ],
+    ids=["late", "cut-short", "bom"],
+)
+def test_non_utf8_errors_give_the_byte_offset_in_the_input(capsys, tmp_path, data, offset):
+    (tmp_path / "bad.txt").write_bytes(data)
+    code, out, err = run(capsys, "subtrees", "--k", "2", str(tmp_path / "bad.txt"))
+    with stdin_of(data):
+        assert run(capsys, "subtrees", "--k", "2") == (code, out, err)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert f"byte {data[offset]:#04x} at offset {offset}:" in err
+
+
 #: Inputs whose labels hold NUL, DEL or another control character: a
 #: binary file or a device read by mistake must not count as a tree.
 UNPRINTABLE_INPUTS = ["\x00", "a\x01 b", "\x7f", "\x00" * 100]
