@@ -311,8 +311,13 @@ class BiPoly:
     def from_json(cls, records: Iterable[Mapping]) -> "BiPoly":
         """Inverse of ``to_json``.  Each of y, z and c must be an int (not a
         bool) or a decimal string; anything else raises ParseError."""
-        if not isinstance(records, Iterable):
-            raise ParseError(f"a JSON polynomial is a list of term records, got {records!r}")
+        # Text, bytes and a lone record iterate too, as characters, ints or keys.
+        if isinstance(records, (str, bytes, bytearray, Mapping)) or not isinstance(
+            records, Iterable
+        ):
+            raise ParseError(
+                f"a JSON polynomial is a list of term records, got a {type(records).__name__}"
+            )
         acc: dict[tuple[int, int], int] = {}
         for rec in records:
             try:

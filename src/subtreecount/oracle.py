@@ -34,7 +34,7 @@ from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, UnknownVertex
 from .subtree_enum import DegreeVector
 from .tree import Tree, WeightedTree, _as_weighted, check_anchors, least_k
-from .tree import _require_short_rows, require_int, require_size
+from .tree import _require_short_rows, _tree_of, require_int, require_size
 
 #: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -291,11 +291,12 @@ def _default_weights_by_witness(
 def _checked(
     t: Tree | WeightedTree, k: int, family: str, anchors: Sequence[str]
 ) -> tuple[Tree, WeightedTree | None, tuple[str, ...]]:
-    """The oracle's door: n, then k, then the anchors, then a WeightedTree's
-    vectors, as every count checks them (``_as_weighted``).  Returns the
-    tree, the custom weights (None for a plain Tree) and the anchors."""
-    weights = t if isinstance(t, WeightedTree) else None
-    tree = t if weights is None else weights.tree
+    """The oracle's door: the input's type, n, then k, then the anchors,
+    then a WeightedTree's vectors, as every count checks them
+    (``_as_weighted``).  Returns the tree, the custom weights (None for a
+    plain Tree) and the anchors."""
+    tree = _tree_of(t)
+    weights = None if tree is t else t
     require_size(len(tree.vertices), ORACLE_MAX_VERTICES, "oracle")
     require_int(k, least_k(family))
     anchors = check_anchors(tree, anchors)

@@ -20,6 +20,16 @@ truncates it.  So a fold costs one product, not one per live entry: rest
 becomes rest * a + rest, plus h * a when the row has a head, h its last
 entry (without one, rest = w * prod(1 + a_j) over the branches a_j).
 
+A fold calls the ring only where a row can change: a ZERO entry is
+neither added nor multiplied, and a ONE factor hands back the other
+operand without a call.  The attach a is the edge weight times the
+branch; where a single entry takes it (a fresh row, a row without heads
+to update), the edge weight is multiplied into the side that is cheaper
+to shift, that entry's factor or the branch: a list (which moves its
+offset), else the one with fewer terms.  So a fresh row's monomial
+vertex weight meets the edge weight in one monomial product, and the
+branch is shifted once, not twice.
+
 The elimination loop itself is ``WeightedTree.contract``; ``_contract``
 runs it with this module's fold, ``leaf_update_subtree``, for both
 families.  The counting modes differ only in which vertices survive and
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bipoly import BiPoly, Y, ZERO, _RunningSum
+from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
 from .tree import Tree, WeightedTree, _as_weighted, least_k, require_int
 
@@ -155,19 +165,46 @@ def leaf_update_subtree(
     original leaf outside the colour class attaches nothing.
     """
     row, hung = parent.entries, leaf.entries
-    if not (parent._fits(k) and leaf._fits(k)):
-        raise LengthMismatch(f"vectors must have length {k + 1}, got {len(row)} and {len(hung)}")
-    branch = range_sum(hung, leaf._lo, k - 1)
-    if not branch:
-        return parent
-    attach = edge_weight * branch
+    top = len(row) - 1
     product = type(row) is _Product
-    out = list(row)
-    for i in range(1, len(row) - product):
-        out[i] = row[i] + row[i - 1] * attach
+    # DegreeVector._fits, inline: this runs once per eliminated vertex.
+    if not ((product or top == k) and (type(hung) is _Product or len(hung) == k + 1)):
+        raise LengthMismatch(f"vectors must have length {k + 1}, got {top + 1} and {len(hung)}")
+    branch = range_sum(hung, leaf._lo, k - 1)
+    if branch is ZERO:
+        return parent
+    # Entry i gains f * edge_weight * branch, f the entry below it; a
+    # product row's rest gains its base, rest plus its last head, times that.
+    live = []
+    for i in range(1, top + 1 - product):
+        if row[i - 1] is not ZERO:
+            live.append((i, row[i - 1]))
     if product:
-        out[-1] = (row[-1] + row[-2] if len(row) > 1 else row[-1]) * attach + row[-1]
-    return DegreeVector._row(_Product(out) if product else tuple(out), parent._lo)
+        rest, last = row[top], row[top - 1] if top else ZERO
+        base = last if rest is ZERO else rest if last is ZERO else rest + last
+        if base is not ZERO:
+            live.append((top, base))
+    out = list(row)
+    if len(live) == 1:  # a lone factor: the edge weight goes to the cheaper side
+        ((i, f),) = live
+        if edge_weight is not ONE:  # a list moves its offset; a dict is walked term by term
+            if f is ONE or branch is not ONE and (
+                f._line is not None or branch._line is None and len(f._terms) <= len(branch._terms)
+            ):
+                f = edge_weight if f is ONE else f * edge_weight
+            else:
+                branch = edge_weight if branch is ONE else edge_weight * branch
+        gain = branch if f is ONE else f if branch is ONE else f * branch
+        out[i] = gain if row[i] is ZERO else row[i] + gain
+    else:  # the factors share one attach
+        if edge_weight is not ONE:
+            branch = edge_weight if branch is ONE else edge_weight * branch
+        for i, f in live:
+            gain = branch if f is ONE else f if branch is ONE else f * branch
+            out[i] = gain if row[i] is ZERO else row[i] + gain
+    vec = object.__new__(DegreeVector)  # DegreeVector._row, inline
+    vec.entries, vec._lo = _Product(out) if product else tuple(out), parent._lo
+    return vec
 
 
 def _contract(wt: WeightedTree, k: int, keep: frozenset, finished: Callable | None = None):

@@ -214,6 +214,8 @@ class Tree:
 
 def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list text format into a Tree."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"edge-list text must be a str, got a {type(text).__name__}")
     rows: list[tuple[int, list[str]]] = []
     # Only "\n" ends a line and only spaces and tabs part labels: labels refuse the rest.
     for lineno, raw in enumerate(text.replace("\t", " ").split("\n"), start=1):
@@ -236,6 +238,8 @@ def parse_edge_list(text: str) -> Tree:
 
 def render_edge_list(t: Tree) -> str:
     """Inverse of parse_edge_list, up to vertex order."""
+    if not isinstance(t, Tree):
+        raise InvalidArgument(f"expected a Tree, got a {type(t).__name__}")
     if len(t.vertices) == 1:
         return t.vertices[0] + "\n"
     return "".join(f"{u} {v}\n" for u, v in t.edges)
@@ -299,6 +303,8 @@ class WeightedTree:
         vertex_weights: Mapping[str, object],
         edge_weights: Mapping[tuple[str, str], BiPoly] | None = None,
     ):
+        if not isinstance(tree, Tree):
+            raise InvalidArgument(f"expected a Tree, got a {type(tree).__name__}")
         if set(vertex_weights) != set(tree.vertices):
             raise InvalidArgument("vertex weights must cover every vertex exactly")
         if edge_weights is None:
@@ -426,6 +432,16 @@ def _require_short_rows(t: Tree | WeightedTree, k: int) -> None:
         raise TooLarge(f"k = {k} exceeds the bound {MAX_VERTICES} on padded rows")
 
 
+def _tree_of(t: Tree | WeightedTree) -> Tree:
+    """The Tree of a count's input, a Tree or a WeightedTree; anything else
+    raises InvalidArgument.  Every door checks this first."""
+    if isinstance(t, WeightedTree):
+        return t.tree
+    if not isinstance(t, Tree):
+        raise InvalidArgument(f"expected a Tree or a WeightedTree, got a {type(t).__name__}")
+    return t
+
+
 def _as_weighted(
     t: Tree | WeightedTree,
     k: int,
@@ -434,7 +450,8 @@ def _as_weighted(
     vertex_weight: BiPoly = Y,
     edge_weight: BiPoly = Z,
 ) -> tuple[WeightedTree, int, tuple[str, ...]]:
-    """The door of every count: ``(wt, cap, anchors)``, once the size (at
+    """The door of every count: ``(wt, cap, anchors)``, once the input's
+    type (``_tree_of``), then the size (at
     most ``MAX_VERTICES`` vertices), then k (against the family's least
     cap), then the anchors (``check_anchors``), then a WeightedTree's
     vectors (each a ``vector_type`` fitting k) pass.  A WeightedTree comes
@@ -445,8 +462,8 @@ def _as_weighted(
     ``initial(cap, vertex_weight)``; these shared rows count no bare vertex
     (``_starting``).  Product rows are right only at that cap, where alone
     the counts pass them on; the door is private, so no other WeightedTree holds one."""
-    weighted = isinstance(t, WeightedTree)
-    tree = t.tree if weighted else t
+    tree = _tree_of(t)
+    weighted = tree is not t
     require_size(len(tree.vertices))
     require_int(k, least_k(vector_type.family))
     anchors = check_anchors(tree, anchors)

@@ -25,8 +25,9 @@ from subtreecount import (
 ENSEMBLE_BASE_SEED = 0xC0FFEE
 
 # ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
-# (5 times the default); CI runs tests/test_bipoly.py and the adversarial
-# edge-list test of tests/test_cli.py so.
+# (5 times the default); CI runs tests/test_bipoly.py, the fold property of
+# tests/test_subtree_enum.py and the adversarial edge-list test of
+# tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)
 
 

@@ -137,6 +137,16 @@ def test_non_int_arguments_raise_invalid_argument():
         lambda: ratio_sweep(5, 1, 2.0, 0),
         lambda: ratio_sweep(5.0, 1, 2, 0),
         lambda: random_tree(3.0, 1),
+        # Text, None or a list where a tree goes, and bytes where text goes.
+        lambda: count_all("a b", 2),
+        lambda: count_bc_all(None, 2),
+        lambda: count_containing_pair([("a", "b")], 2, "a", "b"),
+        lambda: oracle_count("a b", 2),
+        lambda: rooted_parity_vectors("a b", 2, "a"),
+        lambda: WeightedTree("ab", {}),
+        lambda: tree.render_edge_list("a b"),
+        lambda: parse_edge_list(None),
+        lambda: parse_edge_list(b"a b\n"),
     ):
         with pytest.raises(InvalidArgument):
             call()

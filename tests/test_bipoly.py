@@ -152,8 +152,15 @@ def test_json_takes_only_ints_and_decimal_strings():
         [{"y": True, "z": 0, "c": "1"}],
         [{"y": 1, "z": 0, "c": " 7"}],
         5,
+        # Undecoded JSON and a lone record, refused by their type.
+        "[]",
+        b"[]",
+        {"y": 1, "z": 0, "c": "3"},
     ):
         with pytest.raises(ParseError):
+            BiPoly.from_json(records)
+    for records in ("[]", b"[]", {"y": 1, "z": 0, "c": "3"}):
+        with pytest.raises(ParseError, match=f"got a {type(records).__name__}$"):
             BiPoly.from_json(records)
     assert BiPoly.from_json([{"y": "2", "z": 1, "c": 3}]) == P("3*y^2*z")
 

@@ -4,12 +4,15 @@ from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subtreecount import (
     BiPoly,
     DegreeVector,
     KTooSmall,
     LengthMismatch,
+    ONE,
     SameVertex,
     TooManyAnchors,
     Tree,
@@ -32,6 +35,10 @@ from subtreecount import (
     parse_edge_list,
     random_tree,
 )
+
+from subtreecount import subtree_enum
+from subtreecount.bipoly import _Line
+from subtreecount.subtree_enum import _Product
 
 from conftest import (
     count_all_kept_at,
@@ -74,6 +81,133 @@ def test_leaf_update_k1():
 def test_leaf_update_length_mismatch():
     with pytest.raises(LengthMismatch):
         leaf_update_subtree(DegreeVector.initial(2), DegreeVector.initial(3), Z, 2)
+
+
+def _reference_branch(hung, lo, k):
+    """The leaf's entries lo..k-1; a product row's from lo are its heads and rest."""
+    if k - 1 < lo:
+        return ZERO
+    return BiPoly.sum(hung[lo:] if type(hung) is _Product else hung[lo:k])
+
+
+def _reference_fold(row, branch, edge_weight, k):
+    """``leaf_update_subtree`` entry by entry, with every ring call made.
+
+    A product row stands for the row whose entries from its last head on
+    sum to ``rest``: its heads keep their rule, and the entries the rest
+    stands for gain their own sum plus the last head, times the attach."""
+    attach = edge_weight * branch
+    if type(row) is not _Product:
+        return (row[0],) + tuple(row[i] + row[i - 1] * attach for i in range(1, k + 1))
+    heads, rest = row[:-1], row[-1]
+    new_heads = heads[:1] + tuple(heads[i] + heads[i - 1] * attach for i in range(1, len(heads)))
+    below = heads[-1] if heads else ZERO
+    return new_heads + (rest + (below + rest) * attach,)
+
+
+fold_entries = st.one_of(
+    st.just(ZERO),
+    st.just(ONE),
+    st.builds(BiPoly.monomial, st.integers(1, 3), st.integers(0, 4), st.integers(0, 4)),
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(1, 9), min_size=1, max_size=5
+    ).map(BiPoly),
+    st.builds(
+        lambda slope, offset, low, inner, ends: _Line._of(
+            (slope, offset, low, [ends[0], *inner, ends[1]])
+        ),
+        st.sampled_from([1, 2]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 4), min_size=6, max_size=30).filter(
+            lambda inner: len(inner) - inner.count(0) >= 6
+        ),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    ),
+)
+
+
+@st.composite
+def fold_rows(draw, k, min_heads=0):
+    """A full row of length k + 1, or a product row of min_heads..2 heads
+    (no more than k: the cap never truncates a product row) and a rest."""
+    heads = draw(st.integers(min_heads, 2))
+    if heads > k or draw(st.booleans()):
+        return draw(st.lists(fold_entries, min_size=k + 1, max_size=k + 1).map(tuple))
+    return _Product(draw(st.lists(fold_entries, min_size=heads + 1, max_size=heads + 1)))
+
+
+@st.composite
+def folds(draw):
+    """(k, parent row and lo, leaf row and lo, edge weight) for one fold."""
+    k = draw(st.integers(0, 4))
+    lo_parent, lo_leaf = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    row = draw(fold_rows(k))
+    hung = draw(fold_rows(k, min_heads=lo_leaf))  # a product row read from lo keeps heads 0..lo-1
+    edge_weight = draw(st.sampled_from([ONE, Z, P("2*y*z"), P("y + z")]))
+    return k, row, lo_parent, hung, lo_leaf, edge_weight
+
+
+@given(folds())
+# The starting rows of the door: plain, and the BC pass's other and own rows.
+@example((3, _Product((Y,)), 0, _Product((Y,)), 0, Z))
+@example((2, _Product((ONE, ZERO, ZERO)), 1, _Product((Y, ZERO)), 0, Z))
+@example((2, _Product((Y, ZERO)), 0, _Product((ONE, P("y*z"), ZERO)), 1, Z))
+@example((2, (Y, ZERO, ZERO), 0, (Y, ZERO, ZERO), 0, Z))
+# A branch of ONE, times an edge weight.
+@example((2, _Product((Y,)), 0, _Product((ONE,)), 0, Z))
+# The sweep's: every weight ONE.
+@example((3, _Product((ONE,)), 0, _Product((ONE,)), 0, ONE))
+@example((2, _Product((ONE, ZERO, ZERO)), 1, _Product((ONE, ZERO)), 0, ONE))
+def test_the_fold_matches_its_entry_by_entry_reference(case):
+    # The fold skips ZERO entries and ONE factors and moves the edge weight
+    # onto the cheaper side; none of that may change an entry.
+    k, row, lo_parent, hung, lo_leaf, edge_weight = case
+    parent = DegreeVector._row(row, lo_parent)
+    out = leaf_update_subtree(parent, DegreeVector._row(hung, lo_leaf), edge_weight, k)
+    branch = _reference_branch(hung, lo_leaf, k)
+    assert out.entries == _reference_fold(row, branch, edge_weight, k)
+    assert (type(out.entries), out._lo) == (type(row), lo_parent)
+    if not branch:  # in a BC pass, a leaf outside the colour class
+        assert out is parent
+
+
+def test_folds_make_no_zero_or_one_ring_calls(monkeypatch):
+    # On a BC path most of what a fold could compute is an identity: the
+    # heads of fresh product rows are ZERO and the other colour's vertex
+    # weight is ONE.  The fold makes none of those calls.
+    seen = []
+    inside = []
+    fold, mul, add = subtree_enum.leaf_update_subtree, BiPoly.__mul__, BiPoly.__add__
+
+    def watched_fold(*args):
+        inside.append(1)
+        try:
+            return fold(*args)
+        finally:
+            inside.pop()
+
+    def watched(op, name):
+        def call(a, b):
+            if inside:
+                seen.append((name, a, b))
+            return op(a, b)
+
+        return call
+
+    monkeypatch.setattr(subtree_enum, "leaf_update_subtree", watched_fold)
+    monkeypatch.setattr(BiPoly, "__mul__", watched(mul, "*"))
+    monkeypatch.setattr(BiPoly, "__add__", watched(add, "+"))
+    labels = [f"s{i:04d}" for i in range(130)]
+    path = Tree(labels, list(zip(labels, labels[1:])))
+    bushy = random_tree(60, 7)
+    for count, t, k in [(count_bc_all, path, 2), (count_bc_all, bushy, 3), (count_all, bushy, 3)]:
+        seen.clear()
+        count(t, k)
+        assert seen, (count.__name__, t)
+        for name, a, b in seen:
+            assert a and b, (name, a, b)
+            assert name == "+" or ONE not in (a, b), (name, a, b)
 
 
 def test_count_all_path(path3):
