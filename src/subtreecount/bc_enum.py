@@ -31,10 +31,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
-from .errors import LengthMismatch
+from .errors import InvalidArgument, LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
 from .subtree_enum import range_sum, _require_polys
-from .tree import Tree, WeightedTree, _as_weighted, _require_short_rows
+from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, _require_short_rows
 
 
 class ParityDegreeVector:
@@ -71,8 +71,10 @@ class ParityDegreeVector:
         """Starting vectors: odd = (1, 0, ..., 0), even = (w, 0, ..., 0).
 
         The odd vector starts at the constant 1: in the other colour's pass
-        y does not mark the vertex, and on its own it counts nothing.
+        y does not mark the vertex, and on its own it counts nothing.  k is
+        checked as ``DegreeVector.initial`` checks it.
         """
+        _require_row_cap(k)
         return cls((ONE,) + (ZERO,) * k, (vertex_weight,) + (ZERO,) * k)
 
     @classmethod
@@ -155,6 +157,8 @@ def rooted_parity_vectors(
     length k+1, so on a plain Tree k may not exceed ``tree.MAX_VERTICES``
     (TooLarge); the door's own root rows are read only from lo + 1 (``_tops``).
     """
+    if finished is not None and not callable(finished):
+        raise InvalidArgument(f"finished must be callable or None, got {finished!r}")
     wt, cap, _ = _as_weighted(t, k, ParityDegreeVector, (root,))
     _require_short_rows(t, k)
     if isinstance(t, Tree):
@@ -171,7 +175,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     class (the one holding all the leaves) has a vertices.
 
     Both colour passes contract onto the tree's centroid, the cheapest
-    root (see ``WeightedTree.contract``); counted at their top vertices,
+    root (see ``Tree._elimination``); counted at their top vertices,
     the results do not depend on the root or the elimination order.
     """
     wt, k, _ = _as_weighted(t, k, ParityDegreeVector)

@@ -86,9 +86,18 @@ def _connected_index_sets(adj: Sequence[Sequence[int]], n: int) -> list[frozense
     return found
 
 
-@lru_cache(maxsize=1024)
 def enumerate_connected_subtrees(t: Tree) -> tuple[SubtreeWitness, ...]:
-    """Every connected subtree of t as an explicit witness, deterministic order."""
+    """Every connected subtree of t as an explicit witness, deterministic order.
+    Checks, before the cache, that t is a Tree (InvalidArgument) of at most
+    ``ORACLE_MAX_VERTICES`` vertices (TooLarge): a star has 2^(n-1) + n - 1."""
+    if not isinstance(t, Tree):
+        raise InvalidArgument(f"expected a Tree, got a {type(t).__name__}")
+    require_size(len(t.vertices), ORACLE_MAX_VERTICES, "oracle")
+    return _witnesses(t)
+
+
+@lru_cache(maxsize=1024)
+def _witnesses(t: Tree) -> tuple[SubtreeWitness, ...]:
     order = t.vertices
     index = {v: i for i, v in enumerate(order)}
     adj = [sorted(index[w] for w in t.neighbors(v)) for v in order]

@@ -30,10 +30,10 @@ offset), else the one with fewer terms.  So a fresh row's monomial
 vertex weight meets the edge weight in one monomial product, and the
 branch is shifted once, not twice.
 
-The elimination loop itself is ``WeightedTree.contract``; ``_contract``
-runs it with this module's fold, ``leaf_update_subtree``, for both
-families.  The counting modes differ only in which vertices survive and
-how their vectors are combined.
+The elimination loop of both families is ``_contract``: it walks the
+tree's elimination order (``Tree._elimination``) and folds each vertex
+with ``leaf_update_subtree``.  The counting modes differ only in which
+vertices survive and how their vectors are combined.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
-from .tree import Tree, WeightedTree, _as_weighted, least_k, require_int
+from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, least_k, require_int
 
 
 class _Product(tuple):
@@ -114,7 +114,9 @@ class DegreeVector:
 
     @classmethod
     def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "DegreeVector":
-        """The starting vector (w, 0, ..., 0) of length k+1."""
+        """The starting vector (w, 0, ..., 0) of length k+1 (k checked by
+        ``tree._require_row_cap``)."""
+        _require_row_cap(k)
         return cls((vertex_weight,) + (ZERO,) * k)
 
     @classmethod
@@ -208,17 +210,19 @@ def leaf_update_subtree(
 
 
 def _contract(wt: WeightedTree, k: int, keep: frozenset, finished: Callable | None = None):
-    """``wt.contract(keep, ...)`` with ``leaf_update_subtree`` at cap k.
-    ``finished``, if given, is called as ``finished(row, lo)`` with every
-    eliminated vertex's final row, its downward row: of the branch it cuts
-    off from the survivors."""
-
-    def fold(parent: DegreeVector, leaf: DegreeVector, edge_weight: BiPoly):
+    """The survivors' vectors once every pendant vertex outside ``keep`` is
+    folded into its neighbour (``leaf_update_subtree`` at cap k) in the
+    order of ``Tree._elimination``; ``wt`` is unchanged.  ``finished``, if
+    given, is called as ``finished(row, lo)`` with every eliminated vertex's
+    final row, its downward row: of the branch it cuts off from the survivors."""
+    vectors = dict(wt._vertex_weights)
+    weights = wt._edge_weights
+    for u, p, edge in wt.tree._elimination(keep):
+        leaf = vectors.pop(u)
         if finished is not None:
             finished(leaf.entries, leaf._lo)
-        return leaf_update_subtree(parent, leaf, edge_weight, k)
-
-    return wt.contract(keep, fold)
+        vectors[p] = leaf_update_subtree(vectors[p], leaf, weights[edge], k)
+    return vectors
 
 
 def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:

@@ -4,15 +4,15 @@ Trees are immutable values over string vertex labels.  The edge-list text
 format is one ``u v`` pair per line, ``#`` starts a comment line, blank
 lines are skipped, and a lone ``u`` line denotes the one-vertex tree.
 
-A WeightedTree couples a tree with one weight payload per vertex (a
-degree-indexed vector of polynomials, see subtree_enum / bc_enum) and one
-polynomial per edge.  ``WeightedTree.contract``, the pendant-elimination
-loop of both counting families, folds vectors without rebuilding the tree;
-the underlying polynomials are immutable and shared.  The elimination
-order depends only on the tree and the survivors, so a Tree caches the
-last one beside its centroid, and the two colour passes of a BC count, the
-cap-(k-1) count of an exact-degree count and a sweep's per-k counts replay
-it.  A Tree walks itself once, breadth-first from its first vertex, when it
+A WeightedTree is a checked value: a tree, one weight payload per vertex
+(a degree-indexed vector of polynomials, see subtree_enum / bc_enum) and
+one polynomial per edge.  The counts never rebuild it: the elimination
+loop of both families (``subtree_enum._contract``) reads the tree's
+elimination order (``Tree._elimination``) and folds copies of the vectors;
+the underlying polynomials are immutable and shared.  The order depends
+only on the tree and the survivors, so a Tree caches the last one beside
+its centroid, and the two colour passes of a BC count, the cap-(k-1)
+count of an exact-degree count and a sweep's per-k counts replay it.  A Tree walks itself once, breadth-first from its first vertex, when it
 is built: that walk checks that it is connected, and it is kept, so its
 centroid and its 2-colouring (by depth parity) are read off it.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, Y, Z
 from .errors import (
@@ -61,6 +61,9 @@ class Tree:
     __slots__ = ("_vertices", "_edges", "_adj", "_first_walk", "_centroid", "_order")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
+        for name, given in (("vertices", vertices), ("edges", edges)):
+            if not hasattr(given, "__iter__"):
+                raise InvalidArgument(f"{name} must be iterable, got {given!r}")
         verts = tuple(_check_label(v) for v in vertices)
         if not verts:
             raise NotATree("a tree needs at least one vertex")
@@ -164,8 +167,13 @@ class Tree:
         return order, parent
 
     def _elimination(self, keep: frozenset[str]) -> list[tuple[str, str, tuple[str, str]]]:
-        """The steps ``(u, p, edge_key(u, p))`` of a contraction onto ``keep``
-        (see ``WeightedTree.contract``); the last order asked for is cached."""
+        """The steps ``(u, p, edge_key(u, p))`` that fold pendant vertices
+        outside ``keep`` into their neighbours until none is left, smallest
+        label first (so relabelling picks any order); the last is cached.
+        An empty ``keep`` keeps the centroid: a fold costs about the size of
+        its branch, and the branch sizes of a contraction onto v sum to the
+        distances from v, least from the centroid (n^2/4 on a path, n^2/2
+        from an end)."""
         if self._order is None or self._order[0] != keep:
             survivors = keep or frozenset([self.centroid()])
             degree = {v: len(ns) for v, ns in self._adj.items()}
@@ -252,6 +260,8 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     next sequence entry, then join the final two leaves.
     """
     require_int(n, 2, "n")
+    if not isinstance(seq, Sequence):
+        raise InvalidArgument(f"a Pruefer sequence must be a sequence of ints, got {seq!r}")
     if len(seq) != n - 2:
         raise InvalidArgument(f"sequence length must be n-2, got {len(seq)}")
     degree = [1] * n
@@ -338,30 +348,6 @@ class WeightedTree:
         except KeyError:
             raise UnknownVertex(f"({u!r}, {v!r}) is not an edge") from None
 
-    def contract(
-        self,
-        keep: frozenset[str],
-        fold: Callable[[object, object, BiPoly], object],
-    ) -> dict[str, object]:
-        """Eliminate pendant vertices outside ``keep`` until none is left.
-
-        Each step drops a pendant vertex u with neighbour p and sets p's
-        vector to ``fold(vector(p), vector(u), edge_weight(u, p))``.  The
-        smallest pendant label goes first, so relabelling the vertices picks
-        any elimination order.  An empty ``keep`` keeps the tree's centroid:
-        a fold costs about the size of the branch it folds, and the branch
-        sizes of a contraction onto v sum to the distances from v, which
-        the centroid makes least (n^2/4 on a path, against n^2/2 from an
-        end).  Returns the survivors' final vectors and leaves this
-        WeightedTree unchanged; the tree is never rebuilt, and the order is
-        the tree's cached one, so a step costs one fold.
-        """
-        vectors = dict(self._vertex_weights)
-        weights = self._edge_weights
-        for u, p, edge in self.tree._elimination(keep):
-            vectors[p] = fold(vectors[p], vectors.pop(u), weights[edge])
-        return vectors
-
     def truncated(self) -> "WeightedTree":
         """Every vector without its top entry: the cap k-1 view of cap k."""
         return self._reweighted({v: vec.truncated() for v, vec in self._vertex_weights.items()})
@@ -424,12 +410,20 @@ def require_size(n: int, bound: int | None = None, what: str = "count") -> None:
         raise TooLarge(f"{n} vertices exceeds the {what} bound {bound}")
 
 
-def _require_short_rows(t: Tree | WeightedTree, k: int) -> None:
-    """Raise TooLarge before a plain Tree's rows are padded to k + 1 > 1 +
-    ``MAX_VERTICES`` entries: no degree exceeds n - 1, so no entry past that
-    bound can be non-zero.  A WeightedTree already holds its k + 1 entries."""
-    if isinstance(t, Tree) and k > MAX_VERTICES:
+def _require_row_cap(k: int) -> None:
+    """Check the cap k of a row of k + 1 entries before it is built: an int
+    of at least 0 (InvalidArgument) and at most ``MAX_VERTICES`` (TooLarge),
+    since no degree exceeds n - 1, so no entry past that bound can be non-zero."""
+    require_int(k, 0, "cap")
+    if k > MAX_VERTICES:
         raise TooLarge(f"k = {k} exceeds the bound {MAX_VERTICES} on padded rows")
+
+
+def _require_short_rows(t: Tree | WeightedTree, k: int) -> None:
+    """Check k (``_require_row_cap``) before a plain Tree's rows are padded
+    to k + 1 entries.  A WeightedTree already holds its k + 1 entries."""
+    if isinstance(t, Tree):
+        _require_row_cap(k)
 
 
 def _tree_of(t: Tree | WeightedTree) -> Tree:

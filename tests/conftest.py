@@ -2,8 +2,6 @@
 
 import pytest
 
-from functools import partial
-
 from hypothesis import settings
 
 from subtreecount import (
@@ -16,17 +14,18 @@ from subtreecount import (
     UnknownVertex,
     WeightedTree,
     edge_key,
-    leaf_update_subtree,
     parse_edge_list,
     random_tree,
     rooted_parity_vectors,
 )
+from subtreecount.subtree_enum import _contract
 
 ENSEMBLE_BASE_SEED = 0xC0FFEE
 
 # ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
 # (5 times the default); CI runs tests/test_bipoly.py, the fold property of
-# tests/test_subtree_enum.py and the adversarial edge-list test of
+# tests/test_subtree_enum.py, the custom-weight colour-pass property of
+# tests/test_bc_enum.py and the adversarial edge-list test of
 # tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)
 
@@ -36,7 +35,7 @@ def fold_pendant(wt, u, fold):
 
     The new vector of p is ``fold(vector(p), vector(u), edge_weight(u, p))``.
     The result is built through the public constructors, independently of
-    ``WeightedTree.contract``.
+    the library's elimination loop (``subtree_enum._contract``).
     """
     (p,) = wt.tree.neighbors(u)
     vectors = {v: wt.vector(v) for v in wt.tree.vertices if v != u}
@@ -79,15 +78,9 @@ def relabel(t, rng):
 
 
 def elimination_order(t, keep=()):
-    """The vertices ``WeightedTree.contract`` eliminates from ``t``, in order."""
-    eliminated = []
-
-    def fold(parent, leaf, edge_weight):
-        eliminated.append(leaf)
-        return parent
-
-    WeightedTree(t, {v: v for v in t.vertices}).contract(frozenset(keep), fold)
-    return eliminated
+    """The vertices the counts eliminate from ``t`` (``Tree._elimination``),
+    in order."""
+    return [u for u, _, _ in t._elimination(frozenset(keep))]
 
 
 def count_all_kept_at(t, k, r):
@@ -98,14 +91,9 @@ def count_all_kept_at(t, k, r):
     (or at r), from that vertex's final vector.
     """
     parts = []
-
-    def fold(parent, leaf, edge_weight):
-        parts.append(leaf.sum_range(0, k))
-        return leaf_update_subtree(parent, leaf, edge_weight, k)
-
     wt = WeightedTree(t, {v: DegreeVector.initial(k) for v in t.vertices})
-    parts.append(wt.contract(frozenset([r]), fold)[r].sum_range(0, k))
-    return BiPoly.sum(parts)
+    last = _contract(wt, k, frozenset([r]), lambda row, lo: parts.append(row_sum(row, 0, k)))
+    return BiPoly.sum(parts + [last[r].sum_range(0, k)])
 
 
 def row_sum(row, lo, hi):
@@ -163,11 +151,19 @@ def parity_reference(wt, k, anchors=()):
     def topped(vec):
         return row_sum(vec.odd, 2, k) + row_sum(vec.even, 1, k)
 
-    fold = partial(parity_fold, k=k)
+    def contract(keep, finished=lambda leaf: None):
+        # A loop of its own over the library's order: it shares no code
+        # with the library's loop (``subtree_enum._contract``).
+        vectors = {v: wt.vector(v) for v in wt.tree.vertices}
+        for u, p, _ in wt.tree._elimination(frozenset(keep)):
+            finished(vectors[u])
+            vectors[p] = parity_fold(vectors[p], vectors.pop(u), wt.edge_weight(u, p), k)
+        return vectors
+
     if len(anchors) == 2:
         vi, vj = anchors
         path = wt.tree.path_between(vi, vj)
-        vectors = wt.contract(frozenset(anchors), fold)
+        vectors = contract(anchors)
         odd, even = row_sum(vectors[vj].odd, 1, k - 1), row_sum(vectors[vj].even, 0, k - 1)
         for u, nxt in zip(path[-2:0:-1], path[:1:-1]):
             w = wt.edge_weight(u, nxt)
@@ -179,12 +175,7 @@ def parity_reference(wt, k, anchors=()):
         return wt.edge_weight(vi, path[1]) * total, None
     root = anchors[0] if anchors else wt.tree.vertices[0]
     parts = []
-
-    def finishing(parent, leaf, edge_weight):
-        parts.append(topped(leaf))
-        return fold(parent, leaf, edge_weight)
-
-    vec = wt.contract(frozenset([root]), finishing)[root]
+    vec = contract([root], lambda leaf: parts.append(topped(leaf)))[root]
     if anchors:
         return topped(vec) - topped(wt.vector(root)), vec
     bare = BiPoly.sum(topped(wt.vector(v)) for v in wt.tree.vertices)

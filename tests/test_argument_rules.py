@@ -19,6 +19,7 @@ from subtreecount import (
     ParityDegreeVector,
     SubtreeCountError,
     TooLarge,
+    Tree,
     UnknownVertex,
     WeightedTree,
     count_all,
@@ -29,6 +30,7 @@ from subtreecount import (
     count_containing,
     count_containing_pair,
     count_exact_degree,
+    enumerate_connected_subtrees,
     oracle_count,
     parse_edge_list,
     random_tree,
@@ -137,12 +139,20 @@ def test_non_int_arguments_raise_invalid_argument():
         lambda: ratio_sweep(5, 1, 2.0, 0),
         lambda: ratio_sweep(5.0, 1, 2, 0),
         lambda: random_tree(3.0, 1),
+        lambda: DegreeVector.initial(2.0),
+        lambda: ParityDegreeVector.initial(2.0),
         # Text, None or a list where a tree goes, and bytes where text goes.
         lambda: count_all("a b", 2),
         lambda: count_bc_all(None, 2),
         lambda: count_containing_pair([("a", "b")], 2, "a", "b"),
         lambda: oracle_count("a b", 2),
         lambda: rooted_parity_vectors("a b", 2, "a"),
+        # Checked before the cache, which cannot hash a list.
+        lambda: enumerate_connected_subtrees(None),
+        lambda: enumerate_connected_subtrees([("a", "b")]),
+        # None where the sequence or the edges go.
+        lambda: tree.prufer_decode(None, 3),
+        lambda: Tree(["a"], None),
         lambda: WeightedTree("ab", {}),
         lambda: tree.render_edge_list("a b"),
         lambda: parse_edge_list(None),
@@ -270,6 +280,8 @@ def test_each_door_checks_k_then_anchors_then_weights():
             oracle_count(tree_or_weighted, -1, "subtree", ("zz",))
         with pytest.raises(TooLarge):
             rooted_parity_sums(tree_or_weighted, -1, "zz")
+    with pytest.raises(TooLarge):
+        enumerate_connected_subtrees(big)
     with pytest.raises(KTooSmall):
         oracle_count(t, 1, "bc", ("zz",))
 
@@ -333,6 +345,11 @@ def test_malformed_weights_raise_invalid_argument():
         lambda: WeightedTree(t, vectors, {"ab": Z, ("b", "c"): Z}),
         lambda: WeightedTree(t, vectors, {(1, "b"): Z, ("b", "c"): Z}),
         lambda: count_exact_degree(t, 2, 5),
+        # A negative cap made a one-entry row; a finished that is no
+        # function failed partway through the contraction.
+        lambda: DegreeVector.initial(-1),
+        lambda: ParityDegreeVector.initial(-1),
+        lambda: rooted_parity_vectors(t, 2, "a", finished=1),
     ):
         with pytest.raises(InvalidArgument):
             call()
@@ -385,6 +402,13 @@ def test_rooted_rows_refuse_k_over_the_vertex_bound(name):
     vec, short = rows(t, tree.MAX_VERTICES), rows(t, 7)
     pad = (ZERO,) * (tree.MAX_VERTICES - 7)
     assert (vec.odd, vec.even) == (short.odd + pad, short.even + pad)
+
+
+def test_starting_rows_refuse_k_over_the_vertex_bound():
+    for vector_type in (DegreeVector, ParityDegreeVector):
+        with pytest.raises(TooLarge):
+            vector_type.initial(tree.MAX_VERTICES + 1)
+        assert len(vector_type.initial(tree.MAX_VERTICES)) == tree.MAX_VERTICES + 1
 
 
 def test_cli_refuses_trees_over_the_vertex_bound(capsys, monkeypatch, tmp_path):

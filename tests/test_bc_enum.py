@@ -215,7 +215,7 @@ small_polys = st.dictionaries(
 ).map(BiPoly)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(st.data())
 def test_colour_passes_match_the_parity_fold_under_custom_weights(data):
     # Custom vectors with entries above index 0, odd entries included, and
@@ -312,17 +312,17 @@ def test_bc_counts_take_one_contraction(monkeypatch):
     # class; a recursion over the edges would contract once per edge.
     t = random_tree(40, 77)
     contracts, walks = [], []
-    contract, pendants = WeightedTree.contract, Tree.pendant_vertices
+    elimination, pendants = Tree._elimination, Tree.pendant_vertices
 
-    def counting_contract(self, *args, **kwargs):
+    def counting_elimination(self, *args, **kwargs):
         contracts.append(1)
-        return contract(self, *args, **kwargs)
+        return elimination(self, *args, **kwargs)
 
     def counting_pendants(self):
         walks.append(1)
         return pendants(self)
 
-    monkeypatch.setattr(WeightedTree, "contract", counting_contract)
+    monkeypatch.setattr(Tree, "_elimination", counting_elimination)
     monkeypatch.setattr(Tree, "pendant_vertices", counting_pendants)
     count_bc_all(t, 3)
     assert (len(walks), len(contracts)) == (1, 2)

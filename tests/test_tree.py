@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -23,7 +22,6 @@ from subtreecount import (
     count_containing,
     count_containing_pair,
     count_exact_degree,
-    leaf_update_subtree,
     parse_edge_list,
     prufer_decode,
     random_tree,
@@ -31,7 +29,9 @@ from subtreecount import (
     rooted_parity_vectors,
 )
 
-from conftest import split
+from subtreecount.subtree_enum import _contract
+
+from conftest import elimination_order, split
 
 
 def test_parse_path():
@@ -213,25 +213,16 @@ def test_weighted_tree_requires_full_coverage(path3):
     assert isinstance(raised.value, SubtreeCountError)
 
 
-def _labelled(t):
-    """A WeightedTree whose vectors are the vertex labels themselves."""
-    return WeightedTree(t, {v: v for v in t.vertices})
-
-
-def _recording_fold(eliminated):
-    def fold(parent, leaf, edge_weight):
-        eliminated.append(leaf)
-        return parent
-
-    return fold
+def _eliminate(t, keep=()):
+    """The vertices ``Tree._elimination`` folds away from ``t``, in order,
+    and the survivors."""
+    eliminated = elimination_order(t, keep)
+    return eliminated, [v for v in t.vertices if v not in eliminated]
 
 
 def test_contract_with_empty_keep_folds_n_minus_1_times():
     for n, seed in [(1, 3), (2, 3), (9, 77), (14, 5)]:
-        eliminated = []
-        survivors = _labelled(random_tree(n, seed)).contract(
-            frozenset(), _recording_fold(eliminated)
-        )
+        eliminated, survivors = _eliminate(random_tree(n, seed))
         assert len(eliminated) == n - 1
         assert len(survivors) == 1
         assert set(eliminated) | set(survivors) == set(random_tree(n, seed).vertices)
@@ -272,7 +263,7 @@ def test_centroid_splits_the_tree_into_halves():
 
 def test_contract_with_empty_keep_keeps_the_centroid():
     for t in _centroid_cases():
-        survivors = _labelled(t).contract(frozenset(), _recording_fold([]))
+        _, survivors = _eliminate(t)
         assert list(survivors) == [t.centroid()]
     path = Tree([f"p{i:04d}" for i in range(1000)],
                 [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(999)])
@@ -285,15 +276,14 @@ def test_contract_keeps_every_vertex_in_keep():
         t = random_tree(rng.randint(2, 12), 900 + i)
         for size in (1, 2):
             keep = frozenset(rng.sample(t.vertices, size))
-            survivors = _labelled(t).contract(keep, _recording_fold([]))
+            _, survivors = _eliminate(t, keep)
             assert keep <= set(survivors)
             if size == 2:
                 assert set(survivors) == set(t.path_between(*sorted(keep)))
 
 
 def test_contract_folds_smallest_pendant_by_default(path5):
-    eliminated = []
-    _labelled(path5).contract(frozenset(["m"]), _recording_fold(eliminated))
+    eliminated, _ = _eliminate(path5, ["m"])
     assert eliminated == ["a", "b", "e", "d"]
 
 
@@ -302,7 +292,7 @@ def test_contract_leaves_input_unchanged():
     k = 3
     wt = WeightedTree(t, {v: DegreeVector.initial(k) for v in t.vertices})
     before = {v: wt.vector(v) for v in t.vertices}
-    survivors = wt.contract(frozenset(), partial(leaf_update_subtree, k=k))
+    survivors = _contract(wt, k, frozenset())
     assert wt.tree == t
     assert {v: wt.vector(v) for v in t.vertices} == before
     assert all(wt.edge_weight(*e) == Z for e in t.edges)
