@@ -12,8 +12,9 @@ elimination order (``Tree._elimination``) and folds copies of the vectors;
 the underlying polynomials are immutable and shared.  The order depends
 only on the tree and the survivors, so a Tree caches the last one beside
 its centroid, and the two colour passes of a BC count, the cap-(k-1)
-count of an exact-degree count and a sweep's per-k counts replay it.  A Tree walks itself once, breadth-first from its first vertex, when it
-is built: that walk checks that it is connected, and it is kept, so its
+count of an exact-degree count and a sweep's per-k counts replay it.  A
+Tree walks itself once, breadth-first from its first vertex, when it is
+built: that walk checks that it is connected, and it is kept, so its
 centroid and its 2-colouring (by depth parity) are read off it.
 """
 
