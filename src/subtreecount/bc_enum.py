@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
-from .subtree_enum import range_sum, _require_polys
+from .subtree_enum import range_sum, _entries, _require_polys
 from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, _require_short_rows
 
 
@@ -49,7 +49,7 @@ class ParityDegreeVector:
     family = "bc"
 
     def __init__(self, odd: Sequence[BiPoly], even: Sequence[BiPoly]):
-        odd, even = tuple(odd), tuple(even)
+        odd, even = _entries(odd), _entries(even)
         if not odd or len(odd) != len(even):
             raise LengthMismatch(
                 f"odd/even vectors must have equal positive length, "

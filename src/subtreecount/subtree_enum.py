@@ -85,6 +85,13 @@ def exact_degree(
     return count(wt, k, *anchors) - count(lower, k - 1, *anchors)
 
 
+def _entries(entries: Sequence[BiPoly]) -> tuple:
+    """``entries`` as a tuple, once they are known to be iterable (else InvalidArgument)."""
+    if not hasattr(entries, "__iter__"):
+        raise InvalidArgument(f"vector entries must be a sequence of BiPoly, got {entries!r}")
+    return tuple(entries)
+
+
 def _require_polys(entries: Sequence[object]) -> None:
     """Check that every vector entry is a BiPoly; raise InvalidArgument if not."""
     for entry in entries:
@@ -99,7 +106,7 @@ class DegreeVector:
     family = "subtree"
 
     def __init__(self, entries: Sequence[BiPoly]):
-        self.entries = tuple(entries)
+        self.entries = _entries(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
         _require_polys(self.entries)

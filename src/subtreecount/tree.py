@@ -15,7 +15,8 @@ its centroid, and the two colour passes of a BC count, the cap-(k-1)
 count of an exact-degree count and a sweep's per-k counts replay it.  A
 Tree walks itself once, breadth-first from its first vertex, when it is
 built: that walk checks that it is connected, and it is kept, so its
-centroid and its 2-colouring (by depth parity) are read off it.
+centroid and its 2-colouring (by depth parity) are read off it.  Its
+maximum degree is kept too, for the door of every count (``_as_weighted``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .bipoly import BiPoly, Y, Z
 from .errors import (
@@ -59,51 +60,60 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class Tree:
     """A labeled, connected, acyclic undirected graph."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_first_walk", "_centroid", "_order")
+    __slots__ = ("_vertices", "_edges", "_adj", "_max_degree", "_first_walk", "_centroid", "_order")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
+        if isinstance(vertices, str):  # "ab" would be read as the labels a and b
+            raise InvalidArgument(f"vertices must be labels, not one string {vertices!r}")
         for name, given in (("vertices", vertices), ("edges", edges)):
             if not hasattr(given, "__iter__"):
                 raise InvalidArgument(f"{name} must be iterable, got {given!r}")
-        verts = tuple(_check_label(v) for v in vertices)
+        verts = tuple(vertices)
+        # _check_label on all labels at once; where that fails, label by label,
+        # so the first label refused decides the error.
+        try:
+            joined = "".join(verts)
+        except TypeError:  # a label that is no str
+            joined = "#"
+        if "#" in joined or " " in joined or not joined.isprintable() or not all(verts):
+            for v in verts:
+                _check_label(v)
         if not verts:
             raise NotATree("a tree needs at least one vertex")
-        if len(set(verts)) != len(verts):
-            raise NotATree("duplicate vertex label")
-        known = set(verts)
         adj: dict[str, list[str]] = {v: [] for v in verts}
-        seen: set[tuple[str, str]] = set()
-        norm: list[tuple[str, str]] = []
+        if len(adj) != len(verts):
+            raise NotATree("duplicate vertex label")
+        keys: dict[tuple[str, str], None] = {}  # each edge_key, in input order
         for edge in edges:
             if isinstance(edge, str):  # "ab" would unpack as the pair (a, b)
                 raise NotATree(f"edge {edge!r} is a string, not a pair of vertex labels")
             try:
                 u, v = edge
-                if u not in known or v not in known:
+                if u not in adj or v not in adj:
                     raise NotATree(f"edge ({u!r}, {v!r}) references an unknown vertex")
             except (TypeError, ValueError):
                 raise NotATree(f"edge {edge!r} is not a pair of vertex labels") from None
             if u == v:
                 raise NotATree(f"self-loop at {u!r}")
-            key = edge_key(u, v)
-            if key in seen:
+            key = (u, v) if u <= v else (v, u)
+            if key in keys:
                 raise NotATree(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
-            norm.append(key)
+            keys[key] = None
             adj[u].append(v)
             adj[v].append(u)
-        if len(norm) != len(verts) - 1:
+        if len(keys) != len(verts) - 1:
             raise NotATree(
-                f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(norm)}"
+                f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(keys)}"
             )
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
+        self._adj = adj  # never handed out: neighbors() copies
+        self._max_degree = max(map(len, adj.values()))
         # Edge count is right, so connectivity implies acyclicity.  The walk
         # is kept: the centroid and the 2-colouring are read off it.
         self._first_walk = self._walk(verts[0])
         if len(self._first_walk[0]) != len(verts):
             raise NotATree("edge list is disconnected")
         self._vertices = verts
-        self._edges = tuple(norm)
+        self._edges = tuple(keys)
         self._centroid: str | None = None
         self._order: tuple[frozenset[str], list] | None = None
 
@@ -120,7 +130,7 @@ class Tree:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
-            return self._adj[v]
+            return tuple(self._adj[v])
         except KeyError:
             raise UnknownVertex(f"no vertex {v!r}") from None
 
@@ -128,11 +138,11 @@ class Tree:
         return len(self.neighbors(v))
 
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
+        return self._max_degree
 
     def pendant_vertices(self) -> list[str]:
         """All degree-1 vertices in lexicographic label order."""
-        return sorted(v for v, ns in self._adj.items() if len(ns) == 1)
+        return sorted([v for v, ns in self._adj.items() if len(ns) == 1])
 
     def centroid(self) -> str:
         """A vertex whose removal leaves no component of more than n/2 vertices.
@@ -177,18 +187,21 @@ class Tree:
         from an end)."""
         if self._order is None or self._order[0] != keep:
             survivors = keep or frozenset([self.centroid()])
-            degree = {v: len(ns) for v, ns in self._adj.items()}
+            adj, pop, push = self._adj, heapq.heappop, heapq.heappush
+            degree = dict(zip(adj, map(len, adj.values())))
             # Already sorted, hence already a heap.
             pendants = [u for u in self.pendant_vertices() if u not in survivors]
             steps = []
             while pendants:
-                u = heapq.heappop(pendants)
+                u = pop(pendants)
                 degree[u] = 0  # eliminated, so no longer a neighbour to fold into
-                p = next(w for w in self._adj[u] if degree[w])
-                steps.append((u, p, edge_key(u, p)))
+                for p in adj[u]:
+                    if degree[p]:
+                        break
+                steps.append((u, p, (u, p) if u <= p else (p, u)))  # edge_key, inline
                 degree[p] -= 1
                 if degree[p] == 1 and p not in survivors:
-                    heapq.heappush(pendants, p)
+                    push(pendants, p)
             self._order = (keep, steps)
         return self._order[1]
 
@@ -225,24 +238,27 @@ def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list text format into a Tree."""
     if not isinstance(text, str):
         raise InvalidArgument(f"edge-list text must be a str, got a {type(text).__name__}")
-    rows: list[tuple[int, list[str]]] = []
+    edges: list[list[str]] = []
+    odd = None  # the first line that is no pair: (line number, labels)
     # Only "\n" ends a line and only spaces and tabs part labels: labels refuse the rest.
     for lineno, raw in enumerate(text.replace("\t", " ").split("\n"), start=1):
         line = raw.removesuffix("\r").strip(" ")
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         labels = line.split(" ")  # empty strings only where spaces or tabs repeat
-        rows.append((lineno, [label for label in labels if label] if "" in labels else labels))
-    if not rows:
+        if len(labels) != 2:
+            labels = [label for label in labels if label]
+            if len(labels) != 2 and odd is None:
+                odd = (lineno, labels)
+        edges.append(labels)
+    if not edges:
         raise ParseError("no edges or vertices in input")
-    if len(rows) == 1 and len(rows[0][1]) == 1:
-        return Tree([rows[0][1][0]], [])
-    edges = []
-    for lineno, tokens in rows:
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {' '.join(tokens)!r}")
-        edges.append(tokens)
-    return Tree(list(dict.fromkeys(chain.from_iterable(edges))), edges)
+    if odd is not None:
+        lineno, labels = odd
+        if len(edges) == 1 and len(labels) == 1:  # a lone "u": the one-vertex tree
+            return Tree(labels, [])
+        raise ParseError(f"line {lineno}: expected 'u v', got {' '.join(labels)!r}")
+    return Tree(dict.fromkeys(chain.from_iterable(edges)), edges)
 
 
 def render_edge_list(t: Tree) -> str:
@@ -316,10 +332,14 @@ class WeightedTree:
     ):
         if not isinstance(tree, Tree):
             raise InvalidArgument(f"expected a Tree, got a {type(tree).__name__}")
-        if set(vertex_weights) != set(tree.vertices):
+        if not isinstance(vertex_weights, Mapping):
+            raise InvalidArgument(f"vertex weights must be a mapping, got {vertex_weights!r}")
+        if tree._adj.keys() != vertex_weights.keys():
             raise InvalidArgument("vertex weights must cover every vertex exactly")
         if edge_weights is None:
-            ew = {e: Z for e in tree.edges}
+            ew = dict.fromkeys(tree._edges, Z)
+        elif not isinstance(edge_weights, Mapping):
+            raise InvalidArgument(f"edge weights must be a mapping, got {edge_weights!r}")
         else:
             edges, ew = set(tree.edges), {}
             for e, w in edge_weights.items():
@@ -401,7 +421,7 @@ def _binding_cap(t: Tree, k: int, family: str) -> int:
     """The cap at which ``family``'s counts on ``t`` equal those at cap k:
     no cap above the maximum degree can bind, and none goes below the
     family's least cap."""
-    return min(k, max(t.max_degree(), least_k(family)))
+    return min(k, max(t._max_degree, least_k(family)))
 
 
 def require_size(n: int, bound: int | None = None, what: str = "count") -> None:
@@ -454,9 +474,10 @@ def _as_weighted(
     ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge, a product
     row (subtree_enum: heads, then the sum of the rest, read from lo by
     range sums) where the cap cannot bind (degree <= cap), else a full row
-    ``initial(cap, vertex_weight)``; these shared rows count no bare vertex
-    (``_starting``).  Product rows are right only at that cap, where alone
-    the counts pass them on; the door is private, so no other WeightedTree holds one."""
+    ``initial(cap, vertex_weight)``, built only then; these shared rows
+    count no bare vertex (``_starting``).  Product rows are right only at
+    that cap, where alone the counts pass them on; the door is private, so
+    no other WeightedTree holds one."""
     tree = _tree_of(t)
     weighted = tree is not t
     require_size(len(tree.vertices))
@@ -471,10 +492,15 @@ def _as_weighted(
                 )
         return t, k, anchors
     cap = _binding_cap(t, k, vector_type.family)
-    full = vector_type.initial(cap, vertex_weight)
     product = vector_type._product(vertex_weight)
-    start = {v: product if len(ns) <= cap else full for v, ns in t._adj.items()}
-    wt = WeightedTree(t, start, dict.fromkeys(t.edges, edge_weight))
+    if cap < t._max_degree:
+        full = vector_type.initial(cap, vertex_weight)
+        start = {v: product if len(ns) <= cap else full for v, ns in t._adj.items()}
+    else:
+        start = dict.fromkeys(t._adj, product)
+    wt = WeightedTree(t, start)
+    if edge_weight is not Z:  # the door's own weights need no re-check
+        wt._edge_weights = dict.fromkeys(t._edges, edge_weight)
     wt._starting = True
     return wt, cap, anchors
 

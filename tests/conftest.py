@@ -1,5 +1,8 @@
 """Shared fixtures: small named trees and the seeded random ensemble."""
 
+import heapq
+from itertools import chain
+
 import pytest
 
 from hypothesis import settings
@@ -8,8 +11,11 @@ from subtreecount import (
     ZERO,
     BiPoly,
     DegreeVector,
+    InvalidArgument,
     LengthMismatch,
+    NotATree,
     ParityDegreeVector,
+    ParseError,
     Tree,
     UnknownVertex,
     WeightedTree,
@@ -19,14 +25,15 @@ from subtreecount import (
     rooted_parity_vectors,
 )
 from subtreecount.subtree_enum import _contract
+from subtreecount.tree import _check_label
 
 ENSEMBLE_BASE_SEED = 0xC0FFEE
 
 # ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
 # (5 times the default); CI runs tests/test_bipoly.py, the fold property of
 # tests/test_subtree_enum.py, the custom-weight colour-pass property of
-# tests/test_bc_enum.py and the adversarial edge-list test of
-# tests/test_cli.py so.
+# tests/test_bc_enum.py, the label-check properties of tests/test_tree.py
+# and the adversarial edge-list test of tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)
 
 
@@ -75,6 +82,85 @@ def relabel(t, rng):
     rng.shuffle(vertices)
     relabelled = Tree(vertices, [(new[a], new[b]) for a, b in t.edges])
     return relabelled, {label: v for v, label in new.items()}
+
+
+def reference_tree(vertices, edges):
+    """What ``Tree(vertices, edges)`` checks, label by label with
+    ``tree._check_label`` and edge by edge: raises the error the first
+    failed check raises, else returns the tree's vertices and edge keys."""
+    for name, given in (("vertices", vertices), ("edges", edges)):
+        if not hasattr(given, "__iter__"):
+            raise InvalidArgument(f"{name} must be iterable, got {given!r}")
+    verts = tuple(_check_label(v) for v in vertices)
+    if not verts:
+        raise NotATree("a tree needs at least one vertex")
+    if len(set(verts)) != len(verts):
+        raise NotATree("duplicate vertex label")
+    adj, keys = {v: [] for v in verts}, []
+    for edge in edges:
+        if isinstance(edge, str):
+            raise NotATree(f"edge {edge!r} is a string, not a pair of vertex labels")
+        try:
+            u, v = edge
+            if u not in adj or v not in adj:
+                raise NotATree(f"edge ({u!r}, {v!r}) references an unknown vertex")
+        except (TypeError, ValueError):
+            raise NotATree(f"edge {edge!r} is not a pair of vertex labels") from None
+        if u == v:
+            raise NotATree(f"self-loop at {u!r}")
+        if edge_key(u, v) in keys:
+            raise NotATree(f"duplicate edge ({u!r}, {v!r})")
+        keys.append(edge_key(u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+    if len(keys) != len(verts) - 1:
+        raise NotATree(f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(keys)}")
+    reached, stack = {verts[0]}, [verts[0]]
+    while stack:
+        new = [w for w in adj[stack.pop()] if w not in reached]
+        reached.update(new)
+        stack += new
+    if len(reached) != len(verts):
+        raise NotATree("edge list is disconnected")
+    return verts, tuple(keys)
+
+
+def reference_parse(text):
+    """``parse_edge_list(text)`` in two passes, every line read and then
+    every line checked for a pair, built by ``reference_tree``."""
+    rows = []
+    for lineno, raw in enumerate(text.replace("\t", " ").split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" ")
+        if line and not line.startswith("#"):
+            rows.append((lineno, [label for label in line.split(" ") if label]))
+    if not rows:
+        raise ParseError("no edges or vertices in input")
+    if len(rows) == 1 and len(rows[0][1]) == 1:
+        return reference_tree(rows[0][1], [])
+    for lineno, tokens in rows:
+        if len(tokens) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {' '.join(tokens)!r}")
+    edges = [tokens for _, tokens in rows]
+    return reference_tree(list(dict.fromkeys(chain.from_iterable(edges))), edges)
+
+
+def reference_elimination(t, keep):
+    """``t._elimination(keep)`` by its first algorithm, on the public
+    queries only: pendant vertices outside the survivors (``keep``, else
+    the centroid) smallest label first, each as ``(u, p, edge_key(u, p))``."""
+    survivors = keep or frozenset([t.centroid()])
+    degree = {v: t.degree(v) for v in t.vertices}
+    pendants = sorted(u for u in t.vertices if degree[u] == 1 and u not in survivors)
+    steps = []
+    while pendants:
+        u = heapq.heappop(pendants)
+        degree[u] = 0
+        p = next(w for w in t.neighbors(u) if degree[w])
+        steps.append((u, p, edge_key(u, p)))
+        degree[p] -= 1
+        if degree[p] == 1 and p not in survivors:
+            heapq.heappush(pendants, p)
+    return steps
 
 
 def elimination_order(t, keep=()):

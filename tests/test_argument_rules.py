@@ -153,6 +153,8 @@ def test_non_int_arguments_raise_invalid_argument():
         # None where the sequence or the edges go.
         lambda: tree.prufer_decode(None, 3),
         lambda: Tree(["a"], None),
+        # Split into characters, "ab" would silently be read as the labels a and b.
+        lambda: Tree("ab", [("a", "b")]),
         lambda: WeightedTree("ab", {}),
         lambda: tree.render_edge_list("a b"),
         lambda: parse_edge_list(None),
@@ -350,6 +352,12 @@ def test_malformed_weights_raise_invalid_argument():
         lambda: DegreeVector.initial(-1),
         lambda: ParityDegreeVector.initial(-1),
         lambda: rooted_parity_vectors(t, 2, "a", finished=1),
+        # None where the entries or the vertex weights go, and edge weights
+        # as a list of pairs, not a mapping.
+        lambda: DegreeVector(None),
+        lambda: ParityDegreeVector(None, None),
+        lambda: WeightedTree(t, None),
+        lambda: WeightedTree(t, vectors, [(("a", "b"), Z), (("b", "c"), Z)]),
     ):
         with pytest.raises(InvalidArgument):
             call()

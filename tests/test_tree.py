@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtreecount import (
     InvalidArgument,
@@ -31,7 +33,14 @@ from subtreecount import (
 
 from subtreecount.subtree_enum import _contract
 
-from conftest import elimination_order, split
+from conftest import (
+    elimination_order,
+    reference_elimination,
+    reference_parse,
+    reference_tree,
+    seeded_ensemble,
+    split,
+)
 
 
 def test_parse_path():
@@ -342,3 +351,89 @@ def test_a_tree_walks_itself_once(monkeypatch):
     count_bc_exact_degree(t, 3)
     count_bc_exact_degree(t, 3, (mid,))
     assert walks == [t.vertices[0]]
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` gives: the tree's vertices and edges, or the
+    type and message of the error it raises."""
+    try:
+        t = build(*args)
+    except SubtreeCountError as e:
+        return type(e), str(e)
+    return (t.vertices, t.edges) if isinstance(t, Tree) else t
+
+
+#: Labels, and labels that hold one of '#', a space, a tab, NUL, CR, U+2028
+#: or U+0085, or are empty or no str at all.
+GOOD_LABELS = st.text(alphabet="abcxyz\u00e9", min_size=1, max_size=3)
+ODD_LABELS = st.one_of(
+    st.builds(lambda label, bad, i: label[:i] + bad + label[i:],
+              GOOD_LABELS, st.sampled_from("# \t\x00\r\u2028\x85"), st.integers(0, 3)),
+    st.sampled_from(["", None, 7, b"a", ("a",), ["a"]]),
+)
+ODD_TEXT_LABELS = ODD_LABELS.filter(lambda label: isinstance(label, str))
+
+
+def _labels(data, odd=ODD_LABELS):
+    """Good labels, up to two of which are then replaced by ``odd`` ones."""
+    labels = data.draw(st.lists(GOOD_LABELS, min_size=1, max_size=8), label="labels")
+    for _ in range(data.draw(st.integers(0, 2))):
+        labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(odd)
+    return labels
+
+
+def _edges_over(data, labels):
+    """A tree's edges over ``labels`` (each label's parent drawn among the
+    earlier ones), in a drawn order, then perhaps broken: an edge dropped,
+    duplicated, reversed or added, a self-loop, or a str or triple in place
+    of a pair."""
+    edges = [(labels[data.draw(st.integers(0, i - 1))], labels[i]) for i in range(1, len(labels))]
+    edges = data.draw(st.permutations(edges))
+    pool = list(labels) + ["zz"]
+    change = data.draw(st.sampled_from(["none", "none", "drop", "twice", "add", "loop", "odd"]))
+    if change == "drop" and edges:
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    elif change == "twice" and edges:
+        u, v = data.draw(st.sampled_from(edges))
+        edges.append(data.draw(st.sampled_from([(u, v), (v, u)])))
+    elif change == "add":
+        edges.append((data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))))
+    elif change == "loop":
+        label = data.draw(st.sampled_from(pool))
+        edges.append((label, label))
+    elif change == "odd":
+        edges.append(data.draw(st.sampled_from(["ab", ("a", "b", "c"), ("a",), 5, None])))
+    return edges
+
+
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
+@given(st.data())
+def test_tree_checks_labels_and_edges_as_the_per_label_reference(data):
+    labels = _labels(data)
+    edges = _edges_over(data, labels)
+    assert _outcome(Tree, labels, edges) == _outcome(reference_tree, labels, edges)
+
+
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
+@given(st.data())
+def test_parse_matches_the_two_pass_reference(data):
+    labels = _labels(data, ODD_TEXT_LABELS)
+    lines = [list(e) if isinstance(e, tuple) else [str(e)] for e in _edges_over(data, labels)]
+    lines = lines or [labels]
+    extra = st.lists(st.one_of(GOOD_LABELS, ODD_TEXT_LABELS), max_size=3)
+    lines += data.draw(st.lists(extra, max_size=1), label="extra")
+    gaps, pairs = st.sampled_from(["", " ", "\t", " \t "]), st.sampled_from([" ", "\t", "  "])
+    ends = st.sampled_from(["\n", "\r\n", "\n# a comment\n", "\n\n", "\n \t\n", ""])
+    text = "".join(data.draw(gaps) + data.draw(pairs).join(line) + data.draw(gaps) + data.draw(ends)
+                   for line in lines)
+    assert _outcome(parse_edge_list, text) == _outcome(reference_parse, text)
+
+
+def test_elimination_takes_the_reference_steps():
+    for t in seeded_ensemble() + _centroid_cases():
+        first, last = t.vertices[0], t.vertices[-1]
+        keeps = [frozenset(), frozenset([last]), frozenset([t.centroid()])]
+        if len(t.vertices) > 1:
+            keeps.append(frozenset([first, last]))
+        for keep in keeps + keeps:  # the second round starts from another cached order
+            assert t._elimination(keep) == reference_elimination(t, keep), (t.edges, keep)
