@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from . import subtree_enum
 from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
@@ -217,3 +218,15 @@ def count_bc_exact_degree(
     """
     modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
     return exact_degree(modes, t, k, anchors, ParityDegreeVector)
+
+
+def _family(family: str) -> tuple:
+    """``family``'s row type, its counts with zero, one and two anchors, and
+    its exact-degree count.  Each count is read from its module on every
+    call, so one re-bound there (by a tracer or a test) is the one called."""
+    if family == "bc":
+        modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
+        return ParityDegreeVector, modes, count_bc_exact_degree
+    s = subtree_enum
+    modes = (s.count_all, s.count_containing, s.count_containing_pair)
+    return DegreeVector, modes, s.count_exact_degree

@@ -18,8 +18,9 @@ initialization here; callers needing custom weights use the library API.
 Exit codes: 0 success, 1 usage error (including flag values the library
 rejects as an InvalidArgument), 2 data error (unreadable or bad tree,
 closed standard input, unknown vertex, k below the operation's minimum,
-input longer than ``MAX_INPUT_CHARS``, oracle input too large) or a count
-that ran out of memory or stack.
+input longer than ``MAX_INPUT_CHARS``, oracle input too large, closed
+standard output, a result with a number past ``sys.get_int_max_str_digits()``
+digits) or a count that ran out of memory or stack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import json
 import sys
 from typing import Sequence
 
-from . import bc_enum, oracle, subtree_enum
+from . import oracle
+from .bc_enum import _family
 from .bipoly import BiPoly
 from .errors import InvalidArgument, ParseError, SubtreeCountError, TooLarge
 from .experiments import emit_csv, ratio_sweep
@@ -51,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="subtreecount", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_counting(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_counting(name: str, help_text: str, family: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(family=family)
         p.add_argument("--k", type=int, required=True, help="maximum degree bound")
         p.add_argument(
             "--contains",
@@ -82,14 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    add_counting("subtrees", "count subtrees with maximum degree <= k")
-    add_counting("bc", "count BC-subtrees with maximum degree <= k")
-    p_oracle = add_counting("oracle", "brute-force reference counts (small trees)")
-    p_oracle.add_argument(
-        "--family",
-        choices=tuple(LEAST_K),
-        default="subtree",
-        help="which family to count (default: subtree)",
+    add_counting("subtrees", "count subtrees with maximum degree <= k", "subtree")
+    add_counting("bc", "count BC-subtrees with maximum degree <= k", "bc")
+    p_oracle = add_counting("oracle", "brute-force reference counts (small trees)", "subtree")
+    p_oracle.add_argument(  # defaults to the family add_counting set
+        "--family", choices=tuple(LEAST_K), help="which family to count (default: subtree)"
     )
 
     p_rand = sub.add_parser("random-tree", help="emit a seeded random labeled tree")
@@ -169,53 +169,45 @@ def _count_poly(args, t: Tree) -> BiPoly:
         require_int(k, least_k(args.family) + 1)
         high = oracle.oracle_count(t, k, args.family, anchors)
         return high - oracle.oracle_count(t, k - 1, args.family, anchors)
-    if args.command == "subtrees":
-        exact = subtree_enum.count_exact_degree
-        modes = (
-            subtree_enum.count_all,
-            subtree_enum.count_containing,
-            subtree_enum.count_containing_pair,
-        )
-    else:
-        exact = bc_enum.count_bc_exact_degree
-        modes = (
-            bc_enum.count_bc_all,
-            bc_enum.count_bc_containing,
-            bc_enum.count_bc_containing_pair,
-        )
+    _, modes, exact = _family(args.family)
     if args.exact_degree:
         return exact(t, k, anchors)
     return modes[len(anchors)](t, k, *anchors)
 
 
-def _run(args) -> int:
+def _run(args) -> str | int | BiPoly | None:
+    """What the command prints: the edge-list text, a count, or the generating
+    function (``--genfun``); None from ``ratio``, which writes only files."""
     if args.command == "random-tree":
-        sys.stdout.write(render_edge_list(random_tree(args.n, args.seed)))
-        return 0
+        return render_edge_list(random_tree(args.n, args.seed))
     if args.command == "ratio":
         if args.samples < 1:
             raise InvalidArgument("--samples must be >= 1")
         records = ratio_sweep(args.n, args.samples, args.kmax, args.seed, args.family)
         emit_csv(records, args.out)
-        return 0
+        return None
     if args.json and not args.genfun:
         raise InvalidArgument("--json only applies to --genfun output")
     poly = _count_poly(args, _load_tree(args))
-    if args.genfun:
-        if args.json:
-            print(json.dumps(poly.to_json()))
-        else:
-            print(poly)
-    else:
-        print(poly.eval_counts())
-    return 0
+    return poly if args.genfun else poly.eval_counts()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        result = _run(args)
+        if result is None:  # ratio writes only files
+            return 0
+        if sys.stdout is None:  # closed, as under >&-
+            raise OSError("no standard output to write the result to")
+        try:  # text as it is; a count or a polynomial on a line of its own
+            if not isinstance(result, str):
+                result = f"{json.dumps(result.to_json()) if args.json else result}\n"
+        except ValueError:  # an int past the interpreter's int-string limit
+            raise TooLarge(f"result has a number over {sys.get_int_max_str_digits()} digits")
+        sys.stdout.write(result)
+        return 0
     except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -42,5 +42,5 @@ class KTooSmall(SubtreeCountError):
 
 
 class TooLarge(SubtreeCountError):
-    """Input exceeds a size bound: the CLI's input length, the vertices of a
-    count or a random tree (``tree.MAX_VERTICES``) or the oracle's."""
+    """A size bound exceeded: the CLI's input length or a result's digits,
+    the vertices of a count or a random tree (``tree.MAX_VERTICES``) or the oracle's."""

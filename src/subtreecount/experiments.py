@@ -25,9 +25,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bipoly import ONE
-from .bc_enum import ParityDegreeVector, count_bc_all
+from .bc_enum import _family
 from .errors import InvalidArgument
-from .subtree_enum import DegreeVector, count_all
 from .tree import Tree, _as_weighted, _binding_cap
 from .tree import least_k, random_tree, require_int, require_size
 
@@ -43,10 +42,7 @@ class RatioRecord:
 
 
 def _unit_count(t: Tree, k: int, family: str) -> int:
-    if family == "bc":
-        vector_type, count = ParityDegreeVector, count_bc_all
-    else:
-        vector_type, count = DegreeVector, count_all
+    vector_type, (count, _, _), _ = _family(family)
     wt, cap, _ = _as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
     return count(wt, cap).eval_counts()
 

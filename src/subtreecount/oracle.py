@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bc_enum import ParityDegreeVector
+from .bc_enum import _family
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, UnknownVertex
-from .subtree_enum import DegreeVector
 from .tree import Tree, WeightedTree, _as_weighted, check_anchors, least_k
 from .tree import _require_short_rows, _tree_of, require_int, require_size
 
@@ -310,8 +309,7 @@ def _checked(
     require_int(k, least_k(family))
     anchors = check_anchors(tree, anchors)
     if weights is not None:
-        vector_type = DegreeVector if family == "subtree" else ParityDegreeVector
-        _as_weighted(weights, k, vector_type, anchors)
+        _as_weighted(weights, k, _family(family)[0], anchors)
     return tree, weights, anchors
 
 

@@ -210,7 +210,37 @@ def test_data_errors_exit_2(capsys, tmp_path, path3_file):
     with mock.patch.object(sys, "stdin", None):  # closed, as under <&-
         code, out, err = run(capsys, "subtrees", "--k", "2")
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    for argv in (["random-tree", "--n", "5", "--seed", "1"],
+                 ["subtrees", "--k", "2", path3_file],
+                 ["bc", "--k", "2", "--genfun", path3_file],
+                 ["subtrees", "--k", "2", "--genfun", "--json", path3_file],
+                 ["oracle", "--k", "2", path3_file]):
+        with mock.patch.object(sys, "stdout", None):  # closed, as under >&-
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    out_file = tmp_path / "closed.csv"
+    with mock.patch.object(sys, "stdout", None):  # ratio writes only its files
+        code, out, err = run(capsys, "ratio", "--n", "5", "--samples", "2", "--kmax", "3",
+                             "--seed", "0", "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    assert out_file.exists() and aggregate_path(out_file).exists()
 
+
+def test_a_result_past_the_int_string_limit_exits_2(capsys, tmp_path):
+    # A star on 2,400 vertices has 2^2399 + 2399 subtrees: 723 digits.
+    star = tmp_path / "star.txt"
+    star.write_text("".join(f"h l{i}\n" for i in range(2399)))
+    expected = f"{2**2399 + 2399}\n"
+    assert run(capsys, "subtrees", "--k", "3000", str(star)) == (0, expected, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for flags in ([], ["--genfun"], ["--genfun", "--json"]):
+            code, out, err = run(capsys, "subtrees", "--k", "3000", *flags, str(star))
+            assert (code, out) == (2, ""), flags
+            assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_input_one_character_over_the_limit_exits_2(capsys, monkeypatch, tmp_path):
