@@ -21,9 +21,17 @@ A vertex's even vector is its row in its own colour's pass, its odd
 vector its row in the other pass; ``ParityDegreeVector`` holds the pair.
 Custom weights with entries past lo count the bare vertices they start
 with, so the counts take those terms off again; the library's own
-starting vectors count none (``WeightedTree._starting``).  The rooted
-vectors stay meaningful for any weights; for the assembled counts it is
-the standard initialization that pins the result to the BC family.
+starting vectors count none (``WeightedTree._starting``).
+
+The rooted vectors equal the oracle's rooted sums under any weights.  The
+assembled counts equal the oracle's BC sum when every odd vector is zero
+past index 0, whatever the even vectors and edge weights: an odd entry at
+index i >= 1 weighs its vertex as if it had i more edges, so it is no
+leaf, and the counts take in shapes, such as a single edge, that the
+oracle's BC filter (``oracle.is_bc``) leaves out.  On the path a-b-c-d at
+k = 3, with odd vectors (1, y, 0, 0) and even vectors (y, 0, 0, 0),
+``count_bc_all`` gives 6*y^2*z + 2*y^2*z^2 + 4*y^3*z^2 + 2*y^3*z^3 +
+2*y^4*z^3 and the oracle 2*y^2*z^2 + 4*y^3*z^2.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
 from .errors import InvalidArgument, LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
 from .subtree_enum import range_sum, _entries, _require_polys
-from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, _require_short_rows
+from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, least_k
 
 
 class ParityDegreeVector:
@@ -161,8 +169,8 @@ def rooted_parity_vectors(
     if finished is not None and not callable(finished):
         raise InvalidArgument(f"finished must be callable or None, got {finished!r}")
     wt, cap, _ = _as_weighted(t, k, ParityDegreeVector, (root,))
-    _require_short_rows(t, k)
     if isinstance(t, Tree):
+        _require_row_cap(k)
         wt = wt._reweighted({**wt._vertex_weights, root: ParityDegreeVector.initial(cap)})
     keep = frozenset([root])
     own, other = (_contract(p, cap, keep, finished)[root].entries for p in _colour_passes(wt, root))
@@ -222,8 +230,10 @@ def count_bc_exact_degree(
 
 def _family(family: str) -> tuple:
     """``family``'s row type, its counts with zero, one and two anchors, and
-    its exact-degree count.  Each count is read from its module on every
-    call, so one re-bound there (by a tracer or a test) is the one called."""
+    its exact-degree count; an unknown family raises InvalidArgument.  Each
+    count is read from its module on every call, so one re-bound there (by
+    a tracer or a test) is the one called."""
+    least_k(family)  # refuses an unknown family
     if family == "bc":
         modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
         return ParityDegreeVector, modes, count_bc_exact_degree

@@ -160,11 +160,11 @@ class BiPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        """A dict merge, or one copy and one C-level add on a shared line."""
+        """A dict merge, or ``BiPoly.sum`` when an operand is in the list form."""
         if not isinstance(other, BiPoly):
             return NotImplemented
         if (self._line or other._line) is not None:  # either in the list form
-            return _add_lines(self, other)
+            return BiPoly.sum((self, other))
         a, b = self._terms, other._terms
         if not b:
             return self
@@ -200,7 +200,7 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         if self._line is None and not self._terms or other._line is None and not other._terms:
-            return _ZERO
+            return ZERO
         if self is ONE or other is ONE:  # share the other operand
             return other if self is ONE else self
         if (self._line or other._line) is not None:  # either in the list form
@@ -225,28 +225,31 @@ class BiPoly:
         not set the cost.  From the first list-form operand on, the rest
         is a ``_RunningSum``.
         """
-        first, acc = _ZERO, None
-        items = iter(items)
-        for poly in items:
-            if poly._line is not None:
-                total = _RunningSum()
-                total._terms = dict(first._terms) if acc is None else acc
-                total.add(poly)
-                for poly in items:
+        first, acc = ZERO, None
+        try:  # no per-operand check: a non-BiPoly fails on its first attribute
+            items = iter(items)
+            for poly in items:
+                if poly._line is not None:
+                    total = _RunningSum()
+                    total._terms = dict(first._terms) if acc is None else acc
                     total.add(poly)
-                return total.total()
-            terms = poly._terms
-            if not terms:
-                continue
-            if first is _ZERO:
-                first = poly
-                continue
-            if acc is None:
-                acc = dict(first._terms)
-            if len(terms) > len(acc):
-                terms, acc = acc, dict(terms)
-            for key, coeff in terms.items():
-                acc[key] = acc.get(key, 0) + coeff
+                    for poly in items:
+                        total.add(poly)
+                    return total.total()
+                terms = poly._terms
+                if not terms:
+                    continue
+                if first is ZERO:
+                    first = poly
+                    continue
+                if acc is None:
+                    acc = dict(first._terms)
+                if len(terms) > len(acc):
+                    terms, acc = acc, dict(terms)
+                for key, coeff in terms.items():
+                    acc[key] = acc.get(key, 0) + coeff
+        except (AttributeError, TypeError) as exc:
+            raise InvalidArgument("BiPoly.sum takes an iterable of BiPoly") from exc
         return first if acc is None else _listed(acc)
 
     def _sorted_keys(self) -> list[tuple[int, int]]:
@@ -471,17 +474,6 @@ def _absorb(
     return slope, offset, low, coeffs
 
 
-def _add_lines(p: BiPoly, q: BiPoly) -> BiPoly:
-    """p + q with p or q in the list form: on a shared line by ``_absorb``,
-    else by a dict merge."""
-    if p._line is None or q._line is not None and len(q._line[3]) > len(p._line[3]):
-        p, q = q, p  # p is the longer list
-    if q._line is None and not q._terms:
-        return p
-    line = _absorb(p._line, q, False)
-    return _listed(_merged(p._terms, q._terms)) if line is None else _Line._of(line)
-
-
 class _RunningSum:
     """A sum of polynomials, added to as they arrive.
 
@@ -681,10 +673,8 @@ def _pack(coeffs: list[int], width: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
-_ZERO = BiPoly.zero()
-
 #: Shared immutable constants; safe because instances are never mutated.
-ZERO = _ZERO
+ZERO = BiPoly.zero()
 ONE = BiPoly.one()
 Y = BiPoly._raw({(1, 0): 1})
 Z = BiPoly._raw({(0, 1): 1})

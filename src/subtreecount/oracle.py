@@ -32,8 +32,8 @@ from typing import Sequence
 from .bc_enum import _family
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, UnknownVertex
-from .tree import Tree, WeightedTree, _as_weighted, check_anchors, least_k
-from .tree import _require_short_rows, _tree_of, require_int, require_size
+from .tree import Tree, WeightedTree, _as_weighted, least_k
+from .tree import _require_row_cap, _tree_of, require_int, require_size
 
 #: The largest oracle input; enumeration is exponential in n.
 ORACLE_MAX_VERTICES = 14
@@ -121,6 +121,8 @@ def _witnesses(t: Tree) -> tuple[SubtreeWitness, ...]:
 def is_bc(w: SubtreeWitness) -> bool:
     """True when the witness is a BC-subtree: >= 2 edges and all leaves
     pairwise at even distance (equivalently, in one parity class)."""
+    if not isinstance(w, SubtreeWitness):
+        raise InvalidArgument(f"expected a SubtreeWitness, got a {type(w).__name__}")
     if len(w.edges) < 2:
         return False
     parity = _parities_from(w, w.leaves[0])
@@ -177,6 +179,7 @@ def subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = Non
     empty sum, zeroing the whole product.  ``weights`` holds DegreeVectors;
     None means the defaults.
     """
+    require_int(k, None)
     acc = ONE
     for v in w.vertices:
         acc = acc * _entry_sum(_vertex_vec(weights, v, k), 0, k - w.degree(v))
@@ -197,6 +200,7 @@ def bc_subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = 
     weigh zero.  ``weights`` holds ParityDegreeVectors; None means the
     defaults.
     """
+    require_int(k, None)
     if len(w.edges) < 2:
         return ZERO
     parity = _parities_from(w, min(w.leaves))
@@ -254,14 +258,14 @@ def rooted_parity_weight(
     with every non-root leaf at odd (resp. even) distance from the root."""
     if parity not in ("odd", "even"):
         raise InvalidArgument(f"parity must be 'odd' or 'even', got {parity!r}")
+    require_int(k, None)
+    require_int(j, None, "j")
     if not 0 <= j <= k:
         raise InvalidArgument(f"j must lie in 0..{k}, got {j}")
     if root not in w.vertices:
         raise UnknownVertex(f"{root!r} not in witness")
     odd_vec, even_vec = _parity_vecs(weights, root, k)
     root_vec = odd_vec if parity == "odd" else even_vec
-    if len(w.vertices) == 1:
-        return root_vec[j]
     shift = j - w.degree(root)
     if shift < 0:
         return ZERO
@@ -299,18 +303,14 @@ def _default_weights_by_witness(
 def _checked(
     t: Tree | WeightedTree, k: int, family: str, anchors: Sequence[str]
 ) -> tuple[Tree, WeightedTree | None, tuple[str, ...]]:
-    """The oracle's door: the input's type, n, then k, then the anchors,
-    then a WeightedTree's vectors, as every count checks them
+    """The oracle's door: the input's type, n, then the family, then k, the
+    anchors and a WeightedTree's vectors, as every count checks them
     (``_as_weighted``).  Returns the tree, the custom weights (None for a
     plain Tree) and the anchors."""
     tree = _tree_of(t)
-    weights = None if tree is t else t
     require_size(len(tree.vertices), ORACLE_MAX_VERTICES, "oracle")
-    require_int(k, least_k(family))
-    anchors = check_anchors(tree, anchors)
-    if weights is not None:
-        _as_weighted(weights, k, _family(family)[0], anchors)
-    return tree, weights, anchors
+    _, _, anchors = _as_weighted(t, k, _family(family)[0], anchors)
+    return tree, None if tree is t else t, anchors
 
 
 def oracle_count(
@@ -343,17 +343,13 @@ def rooted_parity_sums(
     then, on a plain Tree, whose vectors are padded to k + 1 entries, that
     k is at most ``tree.MAX_VERTICES``, before any work."""
     tree, weights, _ = _checked(t, k, "bc", (root,))
-    _require_short_rows(t, k)
+    if weights is None:
+        _require_row_cap(k)
     odd_vec, even_vec = _parity_vecs(weights, root, k)
     odd_out = [ZERO] * (k + 1)
     even_out = [ZERO] * (k + 1)
     for w in enumerate_connected_subtrees(tree):
         if root not in w.vertices:
-            continue
-        if len(w.vertices) == 1:
-            for j in range(k + 1):
-                odd_out[j] = odd_out[j] + odd_vec[j]
-                even_out[j] = even_out[j] + even_vec[j]
             continue
         deg = w.degree(root)
         odd_base = _rooted_parity_base(w, root, k, "odd", weights)

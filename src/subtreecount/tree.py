@@ -54,7 +54,10 @@ def _check_label(label: str) -> str:
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
     """Normalized (sorted) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
+    try:
+        return (u, v) if u <= v else (v, u)
+    except TypeError:  # labels that do not compare, such as 1 and "a"
+        raise InvalidArgument(f"an edge is a pair of vertex labels, got ({u!r}, {v!r})") from None
 
 
 class Tree:
@@ -126,13 +129,18 @@ class Tree:
         return self._edges
 
     def __contains__(self, label: str) -> bool:
-        return label in self._adj
+        try:
+            return label in self._adj
+        except TypeError:  # an unhashable label names no vertex
+            return False
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
             return tuple(self._adj[v])
         except KeyError:
             raise UnknownVertex(f"no vertex {v!r}") from None
+        except TypeError:
+            raise InvalidArgument(f"a vertex label is a str, got {v!r}") from None
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
@@ -362,12 +370,16 @@ class WeightedTree:
             return self._vertex_weights[v]
         except KeyError:
             raise UnknownVertex(f"no vertex {v!r}") from None
+        except TypeError:
+            raise InvalidArgument(f"a vertex label is a str, got {v!r}") from None
 
     def edge_weight(self, u: str, v: str) -> BiPoly:
         try:
             return self._edge_weights[edge_key(u, v)]
         except KeyError:
             raise UnknownVertex(f"({u!r}, {v!r}) is not an edge") from None
+        except TypeError:  # an unhashable label
+            raise InvalidArgument(f"an edge is a pair of vertex labels, got ({u!r}, {v!r})") from None
 
     def truncated(self) -> "WeightedTree":
         """Every vector without its top entry: the cap k-1 view of cap k."""
@@ -438,13 +450,6 @@ def _require_row_cap(k: int) -> None:
     require_int(k, 0, "cap")
     if k > MAX_VERTICES:
         raise TooLarge(f"k = {k} exceeds the bound {MAX_VERTICES} on padded rows")
-
-
-def _require_short_rows(t: Tree | WeightedTree, k: int) -> None:
-    """Check k (``_require_row_cap``) before a plain Tree's rows are padded
-    to k + 1 entries.  A WeightedTree already holds its k + 1 entries."""
-    if isinstance(t, Tree):
-        _require_row_cap(k)
 
 
 def _tree_of(t: Tree | WeightedTree) -> Tree:

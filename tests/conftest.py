@@ -31,9 +31,10 @@ ENSEMBLE_BASE_SEED = 0xC0FFEE
 
 # ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
 # (5 times the default); CI runs tests/test_bipoly.py, the fold property of
-# tests/test_subtree_enum.py, the custom-weight colour-pass property of
-# tests/test_bc_enum.py, the label-check properties of tests/test_tree.py
-# and the adversarial edge-list test of tests/test_cli.py so.
+# tests/test_subtree_enum.py, the custom-weight colour-pass property and the
+# BC-counts-against-the-oracle property of tests/test_bc_enum.py, the
+# label-check properties of tests/test_tree.py and the adversarial
+# edge-list test of tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)
 
 

@@ -30,7 +30,9 @@ from subtreecount import (
     count_containing,
     count_containing_pair,
     count_exact_degree,
+    edge_key,
     enumerate_connected_subtrees,
+    is_bc,
     oracle_count,
     parse_edge_list,
     random_tree,
@@ -38,7 +40,7 @@ from subtreecount import (
     rooted_parity_sums,
     rooted_parity_vectors,
 )
-from subtreecount import oracle, tree
+from subtreecount import bc_enum, experiments, oracle, tree
 from subtreecount.bipoly import ONE, Y, Z, ZERO
 from subtreecount.cli import main
 from subtreecount.tree import LEAST_K
@@ -128,8 +130,10 @@ def test_a_string_of_anchors_is_rejected():
             call()
 
 
-def test_non_int_arguments_raise_invalid_argument():
+def test_non_int_arguments_raise_invalid_argument(tmp_path):
     t = parse_edge_list(SPIDER)
+    weighted = WeightedTree(t, {v: DegreeVector([Y, ZERO]) for v in t.vertices})
+    witness = enumerate_connected_subtrees(t)[-1]
     for call in (
         lambda: count_all(t, 2.0),
         lambda: count_bc_all(t, "3"),
@@ -159,9 +163,48 @@ def test_non_int_arguments_raise_invalid_argument():
         lambda: tree.render_edge_list("a b"),
         lambda: parse_edge_list(None),
         lambda: parse_edge_list(b"a b\n"),
+        # Labels that cannot name a vertex: unhashable, or not comparable
+        # with the other end of an edge.  Each raised a bare TypeError.
+        lambda: t.neighbors([1]),
+        lambda: t.degree([1]),
+        lambda: weighted.vector([1]),
+        lambda: weighted.edge_weight(1, "b"),
+        lambda: weighted.edge_weight([1], [2]),
+        lambda: edge_key(1, "a"),
+        # A string k or j at the oracle's witness weights raised a bare
+        # TypeError; None, an int or an iterable of them where a witness, a
+        # BiPoly or a RatioRecord goes, a bare AttributeError or TypeError.
+        lambda: oracle.subtree_weight(witness, "2"),
+        lambda: oracle.bc_subtree_weight(witness, "2"),
+        lambda: oracle.rooted_parity_weight(witness, "b", 2, "1", "odd"),
+        lambda: is_bc(None),
+        lambda: BiPoly.sum([Y, 3]),
+        lambda: BiPoly.sum(None),
+        lambda: experiments.mean_ratios([1]),
+        lambda: experiments.emit_csv([1], tmp_path / "ratios.csv"),
+        # An unknown family: the family table read it as "subtree".
+        lambda: bc_enum._family("xx"),
+        lambda: oracle_count(t, 2, "xx"),
+        lambda: oracle_count(weighted, 1, "xx"),
     ):
         with pytest.raises(InvalidArgument):
             call()
+    assert not list(tmp_path.iterdir())  # refused before any file was opened
+
+
+def test_label_lookups_refuse_labels_that_name_no_vertex():
+    t = parse_edge_list(SPIDER)
+    weighted = WeightedTree(t, {v: DegreeVector([Y, ZERO]) for v in t.vertices})
+    for call in (
+        lambda: t.neighbors("zz"),
+        lambda: t.degree("zz"),
+        lambda: weighted.vector("zz"),
+        lambda: weighted.edge_weight("a", "c"),  # two vertices, but no edge
+        lambda: weighted.edge_weight("a", "zz"),
+    ):
+        with pytest.raises(UnknownVertex):
+            call()
+    assert "zz" not in t and [1] not in t and "a" in t
 
 
 #: Python counts a bool as an int, so each of these calls counted at

@@ -24,6 +24,7 @@ from subtreecount import (
     count_bc_containing,
     count_bc_containing_pair,
     count_bc_exact_degree,
+    oracle_count,
     parse_edge_list,
     random_tree,
     rooted_parity_vectors,
@@ -240,6 +241,32 @@ def test_colour_passes_match_the_parity_fold_under_custom_weights(data):
         if vi != vj:
             pair = count_bc_containing_pair(wt, k, vi, vj)
             assert pair == parity_reference(wt, k, (vi, vj))[0], (vi, vj)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_bc_counts_match_the_oracle_when_odd_vectors_vanish_past_index_0(data):
+    # An odd entry past index 0 makes its vertex no leaf, so the counts take
+    # in shapes the oracle's BC filter leaves out (see the bc_enum
+    # docstring); without one, every mode agrees with the oracle, whatever
+    # the even vectors and the edge weights.
+    n = data.draw(st.integers(1, 7), label="n")
+    t = random_tree(n, data.draw(st.integers(0, 10**6), label="seed"))
+    k = data.draw(st.integers(2, t.max_degree() + 2), label="k")
+    even = st.lists(small_polys, min_size=k + 1, max_size=k + 1)
+    wt = WeightedTree(
+        t,
+        {v: ParityDegreeVector([data.draw(small_polys)] + [ZERO] * k, data.draw(even))
+         for v in t.vertices},
+        {e: data.draw(small_polys) for e in t.edges},
+    )
+    assert count_bc_all(wt, k) == oracle_count(wt, k, "bc")
+    for v in t.vertices:
+        assert count_bc_containing(wt, k, v) == oracle_count(wt, k, "bc", (v,)), v
+    for vi, vj in zip(t.vertices, t.vertices[1:] + t.vertices[:1]):
+        if vi != vj:
+            pair = count_bc_containing_pair(wt, k, vi, vj)
+            assert pair == oracle_count(wt, k, "bc", (vi, vj)), (vi, vj)
 
 
 def test_starting_vectors_take_no_bare_vertex_correction(monkeypatch):
