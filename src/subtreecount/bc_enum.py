@@ -21,17 +21,12 @@ A vertex's even vector is its row in its own colour's pass, its odd
 vector its row in the other pass; ``ParityDegreeVector`` holds the pair.
 Custom weights with entries past lo count the bare vertices they start
 with, so the counts take those terms off again; the library's own
-starting vectors count none (``WeightedTree._starting``).
-
-The rooted vectors equal the oracle's rooted sums under any weights.  The
-assembled counts equal the oracle's BC sum when every odd vector is zero
-past index 0, whatever the even vectors and edge weights: an odd entry at
-index i >= 1 weighs its vertex as if it had i more edges, so it is no
-leaf, and the counts take in shapes, such as a single edge, that the
-oracle's BC filter (``oracle.is_bc``) leaves out.  On the path a-b-c-d at
-k = 3, with odd vectors (1, y, 0, 0) and even vectors (y, 0, 0, 0),
-``count_bc_all`` gives 6*y^2*z + 2*y^2*z^2 + 4*y^3*z^2 + 2*y^3*z^3 +
-2*y^4*z^3 and the oracle 2*y^2*z^2 + 4*y^3*z^2.
+starting vectors count none (``WeightedTree._starting``).  The rooted
+vectors equal the oracle's under any weights, the counts only where every
+odd vector is zero past index 0: an odd entry at i >= 1 makes its vertex
+no leaf.  On the path a-b-c-d at k = 3, odd vectors (1, y, 0, 0) and even
+ones (y, 0, 0, 0), ``count_bc_all`` gives 6*y^2*z + 2*y^2*z^2 + 4*y^3*z^2
++ 2*y^3*z^3 + 2*y^4*z^3, the oracle 2*y^2*z^2 + 4*y^3*z^2.
 """
 
 from __future__ import annotations
@@ -230,10 +225,9 @@ def count_bc_exact_degree(
 
 def _family(family: str) -> tuple:
     """``family``'s row type, its counts with zero, one and two anchors, and
-    its exact-degree count; an unknown family raises InvalidArgument.  Each
-    count is read from its module on every call, so one re-bound there (by
-    a tracer or a test) is the one called."""
-    least_k(family)  # refuses an unknown family
+    its exact-degree count.  Each count is read from its module on every
+    call, so one re-bound there (by a tracer or a test) is the one called."""
+    least_k(family)  # InvalidArgument for an unknown family
     if family == "bc":
         modes = (count_bc_all, count_bc_containing, count_bc_containing_pair)
         return ParityDegreeVector, modes, count_bc_exact_degree

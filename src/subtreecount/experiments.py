@@ -97,21 +97,12 @@ def aggregate_path(path: str | Path) -> Path:
     return p.with_name(p.stem + "_mean" + suffix)
 
 
-def _ratio_records(records: Iterable[RatioRecord]) -> list[RatioRecord]:
-    """``records`` as a list, once each is known to be a RatioRecord (else
-    InvalidArgument)."""
-    if not hasattr(records, "__iter__"):
-        raise InvalidArgument(f"records must be an iterable of RatioRecord, got {records!r}")
-    rows = list(records)
-    for rec in rows:
-        if not isinstance(rec, RatioRecord):
-            raise InvalidArgument(f"records must be RatioRecords, got {rec!r}")
-    return rows
-
-
 def emit_csv(records: Iterable[RatioRecord], path: str | Path) -> None:
     """Write per-sample rows plus the companion mean file next to them."""
-    rows = sorted(_ratio_records(records), key=lambda r: (r.n, r.k, r.sample_id))
+    try:  # before any file is opened
+        rows = sorted(records, key=lambda r: (r.n, r.k, r.sample_id))
+    except (AttributeError, TypeError):
+        raise InvalidArgument("records must be an iterable of RatioRecord") from None
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "k", "sample_id", "ratio"])
@@ -127,8 +118,11 @@ def emit_csv(records: Iterable[RatioRecord], path: str | Path) -> None:
 def mean_ratios(records: Sequence[RatioRecord]) -> dict[tuple[int, int], Fraction]:
     """Exact mean ratio per (n, k), as written to the companion file."""
     groups: dict[tuple[int, int], list[Fraction]] = {}
-    for rec in _ratio_records(records):
-        groups.setdefault((rec.n, rec.k), []).append(rec.ratio)
+    try:
+        for rec in records:
+            groups.setdefault((rec.n, rec.k), []).append(rec.ratio)
+    except (AttributeError, TypeError):
+        raise InvalidArgument("records must be an iterable of RatioRecord") from None
     return {
         key: sum(ratios, Fraction(0)) / len(ratios) for key, ratios in groups.items()
     }

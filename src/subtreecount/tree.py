@@ -54,10 +54,9 @@ def _check_label(label: str) -> str:
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
     """Normalized (sorted) form of an undirected edge."""
-    try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:  # labels that do not compare, such as 1 and "a"
-        raise InvalidArgument(f"an edge is a pair of vertex labels, got ({u!r}, {v!r})") from None
+    if not (isinstance(u, str) and isinstance(v, str)):
+        raise InvalidArgument(f"an edge is a pair of vertex labels, got ({u!r}, {v!r})")
+    return (u, v) if u <= v else (v, u)
 
 
 class Tree:
@@ -129,10 +128,7 @@ class Tree:
         return self._edges
 
     def __contains__(self, label: str) -> bool:
-        try:
-            return label in self._adj
-        except TypeError:  # an unhashable label names no vertex
-            return False
+        return isinstance(label, str) and label in self._adj
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
@@ -378,8 +374,6 @@ class WeightedTree:
             return self._edge_weights[edge_key(u, v)]
         except KeyError:
             raise UnknownVertex(f"({u!r}, {v!r}) is not an edge") from None
-        except TypeError:  # an unhashable label
-            raise InvalidArgument(f"an edge is a pair of vertex labels, got ({u!r}, {v!r})") from None
 
     def truncated(self) -> "WeightedTree":
         """Every vector without its top entry: the cap k-1 view of cap k."""
