@@ -116,12 +116,9 @@ def _colour_passes(wt: WeightedTree, first: str) -> list[WeightedTree]:
 
     In the pass of colour c, a vertex of colour c carries its even row with
     lo = 0 and every other vertex its odd row with lo = 1.  The colours are
-    the depth parities of the tree's own walk (``Tree._first_walk``).
+    the tree's cached 2-colouring (``Tree._colouring``).
     """
-    order, parent = wt.tree._first_walk
-    colour = {order[0]: True}
-    for v in order[1:]:
-        colour[v] = not colour[parent[v]]
+    colour = wt.tree._colouring()
     vectors = wt._vertex_weights.items()
     return [wt._reweighted({v: vec._own if colour[v] is c else vec._other for v, vec in vectors})
             for c in (colour[first], not colour[first])]

@@ -12,6 +12,15 @@ the counting algorithms with unit weights (vertex vectors starting at 1,
 edge weight 1); the result polynomial then is a single constant equal to
 the count.  That is the same evaluation-at-one homomorphism the library
 tests assert, just applied before the arithmetic instead of after.
+
+At caps 0 to 2 every counted subtree is a path, so those counts need no
+contraction and come in closed form (``_unit_count``).  On n vertices
+there are n plain subtrees at cap 0 (the vertices), 2n - 1 at cap 1 (the
+vertices and the n - 1 edges) and n(n + 1)/2 at cap 2 (the vertices and
+one path per pair of them).  A BC-subtree at cap 2 is a path of at least
+two edges whose two ends are at even distance, that is share a colour,
+so there are C(a, 2) + C(b, 2) of them, a and b being the sizes of the
+tree's two colour classes.  Caps from 3 contract as above.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,6 +52,12 @@ class RatioRecord:
 
 
 def _unit_count(t: Tree, k: int, family: str) -> int:
+    n = len(t.vertices)
+    if family == "subtree" and 0 <= k <= 2:
+        return (n, 2 * n - 1, n * (n + 1) // 2)[k]
+    if family == "bc" and k == 2:
+        a = sum(t._colouring().values())
+        return comb(a, 2) + comb(n - a, 2)
     vector_type, (count, _, _), _ = _family(family)
     wt, cap, _ = _as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
     return count(wt, cap).eval_counts()

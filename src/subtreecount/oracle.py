@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bc_enum import _family
+from .bc_enum import ParityDegreeVector, _family
 from .bipoly import BiPoly, ONE, Y, Z, ZERO
 from .errors import InvalidArgument, UnknownVertex
+from .subtree_enum import DegreeVector
 from .tree import Tree, WeightedTree, _as_weighted, least_k
 from .tree import _require_row_cap, _tree_of, require_int, require_size
 
@@ -121,8 +122,7 @@ def _witnesses(t: Tree) -> tuple[SubtreeWitness, ...]:
 def is_bc(w: SubtreeWitness) -> bool:
     """True when the witness is a BC-subtree: >= 2 edges and all leaves
     pairwise at even distance (equivalently, in one parity class)."""
-    if not isinstance(w, SubtreeWitness):
-        raise InvalidArgument(f"expected a SubtreeWitness, got a {type(w).__name__}")
+    _require_witness(w)
     if len(w.edges) < 2:
         return False
     parity = _parities_from(w, w.leaves[0])
@@ -145,16 +145,34 @@ def _parities_from(w: SubtreeWitness, start: str) -> dict[str, int]:
     return parity
 
 
+def _require_witness(w: SubtreeWitness, weights: WeightedTree | None = None) -> None:
+    """Check the arguments of a witness weight: a SubtreeWitness, and
+    weights that are None or a WeightedTree (InvalidArgument)."""
+    if not isinstance(w, SubtreeWitness):
+        raise InvalidArgument(f"expected a SubtreeWitness, got a {type(w).__name__}")
+    if weights is not None and not isinstance(weights, WeightedTree):
+        raise InvalidArgument(f"weights must be a WeightedTree, got a {type(weights).__name__}")
+
+
+def _vector(weights: WeightedTree, v: str, vector_type):
+    """The vector of v in ``weights``, once it is known to be a ``vector_type``."""
+    vec = weights.vector(v)
+    if not isinstance(vec, vector_type):
+        name, got = vector_type.__name__, type(vec).__name__
+        raise InvalidArgument(f"vertex {v!r} needs a {name}, got a {got}")
+    return vec
+
+
 def _vertex_vec(weights: WeightedTree | None, v: str, k: int) -> Sequence[BiPoly]:
     if weights is None:
         return (Y,) + (ZERO,) * k
-    return weights.vector(v).entries
+    return _vector(weights, v, DegreeVector).entries
 
 
 def _parity_vecs(weights: WeightedTree | None, v: str, k: int) -> ParityWeights:
     if weights is None:
         return ((ONE,) + (ZERO,) * k, (Y,) + (ZERO,) * k)
-    vec = weights.vector(v)
+    vec = _vector(weights, v, ParityDegreeVector)
     return vec.odd, vec.even
 
 
@@ -179,6 +197,7 @@ def subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = Non
     empty sum, zeroing the whole product.  ``weights`` holds DegreeVectors;
     None means the defaults.
     """
+    _require_witness(w, weights)
     require_int(k, None)
     acc = ONE
     for v in w.vertices:
@@ -200,6 +219,7 @@ def bc_subtree_weight(w: SubtreeWitness, k: int, weights: WeightedTree | None = 
     weigh zero.  ``weights`` holds ParityDegreeVectors; None means the
     defaults.
     """
+    _require_witness(w, weights)
     require_int(k, None)
     if len(w.edges) < 2:
         return ZERO
@@ -258,6 +278,7 @@ def rooted_parity_weight(
     with every non-root leaf at odd (resp. even) distance from the root."""
     if parity not in ("odd", "even"):
         raise InvalidArgument(f"parity must be 'odd' or 'even', got {parity!r}")
+    _require_witness(w, weights)
     require_int(k, None)
     require_int(j, None, "j")
     if not 0 <= j <= k:

@@ -15,8 +15,9 @@ its centroid, and the two colour passes of a BC count, the cap-(k-1)
 count of an exact-degree count and a sweep's per-k counts replay it.  A
 Tree walks itself once, breadth-first from its first vertex, when it is
 built: that walk checks that it is connected, and it is kept, so its
-centroid and its 2-colouring (by depth parity) are read off it.  Its
-maximum degree is kept too, for the door of every count (``_as_weighted``).
+centroid and its 2-colouring (by depth parity) are read off it, each
+cached the first time it is asked for.  Its maximum degree is kept too,
+for the door of every count (``_as_weighted``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class Tree:
     """A labeled, connected, acyclic undirected graph."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_max_degree", "_first_walk", "_centroid", "_order")
+    __slots__ = ("_vertices", "_edges", "_adj", "_max_degree", "_first_walk",
+                 "_centroid", "_colour", "_order")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         if isinstance(vertices, str):  # "ab" would be read as the labels a and b
@@ -117,6 +119,7 @@ class Tree:
         self._vertices = verts
         self._edges = tuple(keys)
         self._centroid: str | None = None
+        self._colour: dict[str, bool] | None = None
         self._order: tuple[frozenset[str], list] | None = None
 
     @property
@@ -169,6 +172,18 @@ class Tree:
                 (v,) = heavy
             self._centroid = v
         return self._centroid
+
+    def _colouring(self) -> dict[str, bool]:
+        """The 2-colouring: each vertex's depth parity on the tree's walk,
+        True at its first vertex.  Two vertices are at even distance exactly
+        when they share a colour.  Computed once per tree, as the centroid is."""
+        if self._colour is None:
+            order, parent = self._first_walk
+            colour = {order[0]: True}
+            for v in order[1:]:
+                colour[v] = not colour[parent[v]]
+            self._colour = colour
+        return self._colour
 
     def _walk(self, root: str) -> tuple[list[str], dict[str, str]]:
         """The vertices reached breadth-first from ``root``, in that order,

@@ -33,6 +33,7 @@ ENSEMBLE_BASE_SEED = 0xC0FFEE
 # (5 times the default); CI runs tests/test_bipoly.py, the fold property of
 # tests/test_subtree_enum.py, the custom-weight colour-pass property and the
 # BC-counts-against-the-oracle property of tests/test_bc_enum.py, the
+# sweep's closed-form property of tests/test_experiments.py, the
 # label-check properties of tests/test_tree.py and the adversarial
 # edge-list test of tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)

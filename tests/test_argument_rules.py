@@ -178,6 +178,14 @@ def test_non_int_arguments_raise_invalid_argument(tmp_path):
         lambda: oracle.bc_subtree_weight(witness, "2"),
         lambda: oracle.rooted_parity_weight(witness, "b", 2, "1", "odd"),
         lambda: is_bc(None),
+        # None where a witness goes, and a Tree, a dict or the other
+        # family's vectors where the weights go: each a bare AttributeError.
+        lambda: oracle.subtree_weight(None, 2),
+        lambda: oracle.bc_subtree_weight(None, 2),
+        lambda: oracle.subtree_weight(witness, 2, weights=t),
+        lambda: oracle.bc_subtree_weight(witness, 2, weights=t),
+        lambda: oracle.rooted_parity_weight(witness, "a", 2, 1, "odd", weights={}),
+        lambda: oracle.bc_subtree_weight(witness, 2, weights=weighted),
         lambda: BiPoly.sum([Y, 3]),
         lambda: BiPoly.sum(None),
         lambda: experiments.mean_ratios([1]),

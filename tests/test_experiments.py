@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtreecount import (
     RatioRecord,
     SubtreeCountError,
+    Tree,
     count_all,
     count_bc_all,
     emit_csv,
     mean_ratios,
+    oracle_count,
     random_tree,
     ratio_sweep,
 )
+from subtreecount import bc_enum, subtree_enum
 from subtreecount.experiments import (
     _unit_count,
     aggregate_path,
@@ -28,6 +33,51 @@ def test_unit_weight_counts_equal_evaluated_genfuns():
             assert _unit_count(t, k, "subtree") == count_all(t, k).eval_counts()
         for k in (2, 4, 8):
             assert _unit_count(t, k, "bc") == count_bc_all(t, k).eval_counts()
+
+
+@st.composite
+def sweep_trees(draw):
+    """A uniform random tree, a path, a star or a caterpillar (a spine of
+    n // 2 vertices, each other vertex on a random spine vertex) of 1 to 40
+    vertices, labelled in random order."""
+    n = draw(st.integers(1, 40), label="n")
+    shape = draw(st.sampled_from(["random", "path", "star", "caterpillar"]), label="shape")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    if shape == "random":
+        return random_tree(n, rng.getrandbits(32))
+    spine = {"path": n, "star": 1, "caterpillar": max(n // 2, 1)}[shape]
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    parents = [i - 1 if i < spine else rng.randrange(spine) for i in range(1, n)]
+    return Tree(labels, [(labels[p], labels[i]) for i, p in enumerate(parents, start=1)])
+
+
+@given(sweep_trees())
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
+def test_closed_forms_at_caps_0_to_2_equal_the_counts(t):
+    # Plain subtrees at caps 0, 1 and 2 and BC-subtrees at cap 2 are paths,
+    # so the sweep counts them in closed form; the dynamic program and, up
+    # to 10 vertices, the oracle must agree.
+    counts = {("subtree", k): count_all(t, k) for k in (0, 1, 2)}
+    counts["bc", 2] = count_bc_all(t, 2)
+    for (family, k), count in counts.items():
+        assert _unit_count(t, k, family) == count.eval_counts(), (family, k)
+        if len(t.vertices) <= 10:
+            assert count == oracle_count(t, k, family), (family, k)
+
+
+def test_the_sweep_contracts_no_cap_below_3(monkeypatch):
+    # The sweep reads both counts through their module bindings (_family).
+    caps = []
+    for module, name in ((subtree_enum, "count_all"), (bc_enum, "count_bc_all")):
+        count = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda t, k, name=name, count=count: caps.append((name, k)) or count(t, k)
+        )
+    for family in ("subtree", "bc"):
+        ratio_sweep(12, 6, 6, seed=4, family=family)
+    assert {name for name, _ in caps} == {"count_all", "count_bc_all"}
+    assert min(k for _, k in caps) == 3
 
 
 def test_p3_sweep_example():
