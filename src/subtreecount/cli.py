@@ -18,8 +18,9 @@ initialization here; callers needing custom weights use the library API.
 Exit codes: 0 success, 1 usage error (including flag values the library
 rejects as an InvalidArgument), 2 data error (unreadable or bad tree,
 closed standard input, unknown vertex, k below the operation's minimum,
-input longer than ``MAX_INPUT_CHARS``, oracle input too large, closed
-standard output, a result with a number past ``sys.get_int_max_str_digits()``
+input longer than ``MAX_INPUT_CHARS``, oracle input too large, a ratio
+sweep over ``tree.MAX_SWEEP_VERTICES`` vertices in all, closed standard
+output, a result with a number past ``sys.get_int_max_str_digits()``
 digits) or a count that ran out of memory or stack.
 """
 

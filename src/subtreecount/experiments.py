@@ -14,13 +14,25 @@ the count.  That is the same evaluation-at-one homomorphism the library
 tests assert, just applied before the arithmetic instead of after.
 
 At caps 0 to 2 every counted subtree is a path, so those counts need no
-contraction and come in closed form (``_unit_count``).  On n vertices
+contraction and come in closed form (``_unit_counts``).  On n vertices
 there are n plain subtrees at cap 0 (the vertices), 2n - 1 at cap 1 (the
 vertices and the n - 1 edges) and n(n + 1)/2 at cap 2 (the vertices and
 one path per pair of them).  A BC-subtree at cap 2 is a path of at least
 two edges whose two ends are at even distance, that is share a colour,
 so there are C(a, 2) + C(b, 2) of them, a and b being the sizes of the
-tree's two colour classes.  Caps from 3 contract as above.
+tree's two colour classes.
+
+Caps from 3 contract as above.  A sample that needs one of them counts it
+on its own; one that needs several shares one contraction among them
+(``_shared_counts``).  No cap c or above binds a vertex of degree at most
+c (c = 3, the least cap contracted): such a vertex starts as a product
+row and folds the same at every cap.  So each pass contracts once, at the
+top cap, onto the *core*, the vertices of degree above c, which start as
+full rows; the rows it eliminates are summed once for every cap.  Per cap
+k, only the smallest subtree connecting the core (its survivors) is left
+to contract, its core rows cut to their first k + 1 entries: a fold
+writes entry i from entry i - 1 alone, so cutting a row before a fold
+gives what cutting it after would.
 """
 
 from __future__ import annotations
@@ -35,9 +47,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bipoly import ONE
-from .bc_enum import _family
+from .bc_enum import ParityDegreeVector, _colour_passes, _family
 from .errors import InvalidArgument
-from .tree import Tree, _as_weighted, _binding_cap
+from .subtree_enum import DegreeVector, _contract, range_sum
+from .tree import MAX_SWEEP_VERTICES, Tree, WeightedTree, _as_weighted, _binding_cap
 from .tree import least_k, random_tree, require_int, require_size
 
 
@@ -51,16 +64,69 @@ class RatioRecord:
     ratio: Fraction
 
 
-def _unit_count(t: Tree, k: int, family: str) -> int:
+def _unit_counts(t: Tree, caps: Sequence[int], family: str) -> dict[int, int]:
+    """``family``'s counts on ``t`` at each of ``caps`` (ascending, none above
+    the cap that binds, ``_binding_cap``): in closed form at caps 0 to 2,
+    else by one contraction, shared when more than one cap needs it.  A
+    lone cap takes the family's own count (``_family``), as fast, and the
+    one path by which the sweep reaches ``count_all`` and ``count_bc_all``,
+    which perfbench's traced pass expects it to."""
     n = len(t.vertices)
-    if family == "subtree" and 0 <= k <= 2:
-        return (n, 2 * n - 1, n * (n + 1) // 2)[k]
-    if family == "bc" and k == 2:
-        a = sum(t._colouring().values())
-        return comb(a, 2) + comb(n - a, 2)
-    vector_type, (count, _, _), _ = _family(family)
-    wt, cap, _ = _as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
-    return count(wt, cap).eval_counts()
+    counts, contracted = {}, []
+    for k in caps:
+        if family == "subtree" and k <= 2:
+            counts[k] = (n, 2 * n - 1, n * (n + 1) // 2)[k]
+        elif family == "bc" and k == 2:
+            a = sum(t._colouring().values())
+            counts[k] = comb(a, 2) + comb(n - a, 2)
+        else:
+            contracted.append(k)
+    if len(contracted) == 1:
+        (k,) = contracted
+        vector_type, (count, _, _), _ = _family(family)
+        wt, cap, _ = _as_weighted(t, k, vector_type, vertex_weight=ONE, edge_weight=ONE)
+        counts[k] = count(wt, cap).eval_counts()
+    elif contracted:
+        counts.update(zip(contracted, _shared_counts(t, contracted, family)))
+    return counts
+
+
+def _shared_counts(t: Tree, caps: Sequence[int], family: str) -> list[int]:
+    """The counts at ``caps`` (ascending, from 3) from one contraction per
+    pass onto the core, the vertices of degree above ``caps[0]``, and one
+    of the subtree connecting it per cap (see the module docstring).  Each
+    contraction sums its eliminated rows as ``count_all`` (from lo) and
+    ``count_bc_all`` (from lo + 1) do; these starting rows count no bare
+    vertex, so nothing is taken off."""
+    vector_type, skip = (ParityDegreeVector, 1) if family == "bc" else (DegreeVector, 0)
+    wt, top, _ = _as_weighted(t, caps[-1], vector_type, vertex_weight=ONE, edge_weight=ONE)
+    core = frozenset(v for v, ns in t._adj.items() if len(ns) > caps[0])
+    full = vector_type.initial(top, ONE)
+    wt = wt._reweighted({**wt._vertex_weights, **dict.fromkeys(core, full)})
+
+    def contract(pass_: WeightedTree, k: int, keep: frozenset) -> tuple[int, dict]:
+        sums = []
+        rows = _contract(pass_, k, keep, lambda row, lo: sums.append(range_sum(row, lo + skip, k)))
+        return sum(s.eval_counts() for s in sums), rows
+
+    shared, survivors = 0, []
+    for p in _colour_passes(wt, t.vertices[0]) if skip else [wt]:
+        eliminated, rows = contract(p, top, core)
+        shared += eliminated
+        survivors.append(rows)
+    span = t.induced(survivors[0].keys())  # the subtree connecting the core
+    small = WeightedTree(span, survivors[0], dict.fromkeys(span.edges, ONE))
+    counts = []
+    for k in caps:
+        count = shared
+        for rows in survivors:
+            cut = {v: DegreeVector._row(vec.entries[: k + 1], vec._lo) if v in core else vec
+                   for v, vec in rows.items()}
+            eliminated, last = contract(small._reweighted(cut), k, frozenset())
+            (root,) = last.values()
+            count += eliminated + range_sum(root.entries, root._lo + skip, k).eval_counts()
+        counts.append(count)
+    return counts
 
 
 def ratio_sweep(
@@ -74,12 +140,15 @@ def ratio_sweep(
 
     The subtree family sweeps k = 1..k_max, the BC family k = 2..k_max.
     Per-sample generator seeds are drawn from one master generator, so a
-    given (n, samples, seed, family) call replays exactly.
+    given (n, samples, seed, family) call replays exactly.  A sweep of more
+    than ``tree.MAX_SWEEP_VERTICES`` vertices in all (samples times n)
+    raises TooLarge before any seed is drawn.
     """
     k_lo = max(least_k(family), 1)
     require_int(n, k_lo + 1, "n")
     require_size(n)
     require_int(samples, 0, "samples")
+    require_size(samples * n, MAX_SWEEP_VERTICES, "sweep")
     require_int(k_max, k_lo, "k_max")
     require_int(seed, None, "seed")
     if k_max > n - 1:
@@ -90,10 +159,9 @@ def ratio_sweep(
     for sample_id, tree_seed in enumerate(tree_seeds):
         t = random_tree(n, tree_seed)
         uncapped = _binding_cap(t, n - 1, family)
-        denominator = _unit_count(t, uncapped, family)
+        counts = _unit_counts(t, [*range(k_lo, min(k_max + 1, uncapped)), uncapped], family)
         for k in range(k_lo, k_max + 1):
-            count = denominator if k >= uncapped else _unit_count(t, k, family)
-            ratio = Fraction(count, denominator)
+            ratio = Fraction(counts[min(k, uncapped)], counts[uncapped])
             records.append(RatioRecord(n=n, k=k, sample_id=sample_id, ratio=ratio))
     records.sort(key=lambda r: (r.n, r.k, r.sample_id))
     return records

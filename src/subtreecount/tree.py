@@ -11,8 +11,11 @@ loop of both families (``subtree_enum._contract``) reads the tree's
 elimination order (``Tree._elimination``) and folds copies of the vectors;
 the underlying polynomials are immutable and shared.  The order depends
 only on the tree and the survivors, so a Tree caches the last one beside
-its centroid, and the two colour passes of a BC count, the cap-(k-1)
-count of an exact-degree count and a sweep's per-k counts replay it.  A
+its centroid, and the two colour passes of a BC count and the cap-(k-1)
+count of an exact-degree count replay it.  A density sweep contracts a
+sample once per pass onto its vertices of degree above 3, then per cap
+only the subtree connecting them, a Tree of its own whose cached order
+every cap replays (``experiments._shared_counts``).  A
 Tree walks itself once, breadth-first from its first vertex, when it is
 built: that walk checks that it is connected, and it is kept, so its
 centroid and its 2-colouring (by depth parity) are read off it, each
@@ -419,6 +422,14 @@ LEAST_K = {"subtree": 0, "bc": 2}
 #: length of the long paths the tests count.
 MAX_VERTICES = 10_000
 
+#: The most vertices a ratio sweep samples in all, samples times n: a
+#: larger sweep raises TooLarge in ``ratio_sweep`` before any seed is
+#: drawn.  It bounds the sweep's memory, its seeds and its records (one per
+#: sample and cap, k_max < n): about 250 bytes per sampled vertex at n = 2,
+#: 30 and 300 with k_max = n - 1 (tracemalloc peak, Python 3.11), so at most
+#: about 250 MB.  It does not bound the time of large-n samples.
+MAX_SWEEP_VERTICES = 1_000_000
+
 
 def least_k(family: str) -> int:
     """The least degree cap of ``family``, once it is known to be a family."""
@@ -489,9 +500,12 @@ def _as_weighted(
     row (subtree_enum: heads, then the sum of the rest, read from lo by
     range sums) where the cap cannot bind (degree <= cap), else a full row
     ``initial(cap, vertex_weight)``, built only then; these shared rows
-    count no bare vertex (``_starting``).  Product rows are right only at
-    that cap, where alone the counts pass them on; the door is private, so
-    no other WeightedTree holds one."""
+    count no bare vertex (``_starting``).  A product row is right at any
+    cap of at least its vertex's degree, never below.  The counts pass them
+    on at this cap alone; the density sweep's shared contraction
+    (``experiments._shared_counts``) passes on those of degree at most 3 at
+    every cap from 3.  The door is private, so no other WeightedTree holds
+    one."""
     tree = _tree_of(t)
     weighted = tree is not t
     require_size(len(tree.vertices))

@@ -288,7 +288,7 @@ def test_starting_vectors_take_no_bare_vertex_correction(monkeypatch):
     assert k > 3
     both = range_sums(lambda: count_bc_all(t, k)) + range_sums(lambda: count_bc_all(t, k - 1))
     assert range_sums(lambda: count_bc_exact_degree(t, k)) == both
-    unit = range_sums(lambda: experiments._unit_count(t, k - 1, "bc"))
+    unit = range_sums(lambda: experiments._unit_counts(t, [k - 1], "bc"))
     assert unit == range_sums(lambda: count_bc_all(t, k - 1))
     supplied = WeightedTree(t, {v: ParityDegreeVector.initial(k) for v in t.vertices})
     assert range_sums(lambda: count_bc_all(supplied, k)) == (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from subtreecount import (
     RatioRecord,
     SubtreeCountError,
+    TooLarge,
     Tree,
     count_all,
     count_bc_all,
@@ -17,22 +18,27 @@ from subtreecount import (
     random_tree,
     ratio_sweep,
 )
-from subtreecount import bc_enum, subtree_enum
+from subtreecount import experiments, subtree_enum
+from subtreecount.cli import main
 from subtreecount.experiments import (
-    _unit_count,
+    _shared_counts,
+    _unit_counts,
     aggregate_path,
 )
+from subtreecount.tree import _binding_cap
 
 
 def test_unit_weight_counts_equal_evaluated_genfuns():
     # the sweep counts with unit weights; that must equal evaluating the
-    # default-weight generating function at y = z = 1
+    # default-weight generating function at y = z = 1, at every cap up to
+    # the one that binds (all of them at once, and the top one alone)
     for seed in (11, 12, 13):
         t = random_tree(9, seed)
-        for k in (1, 3, 8):
-            assert _unit_count(t, k, "subtree") == count_all(t, k).eval_counts()
-        for k in (2, 4, 8):
-            assert _unit_count(t, k, "bc") == count_bc_all(t, k).eval_counts()
+        for family, count, lo in (("subtree", count_all, 1), ("bc", count_bc_all, 2)):
+            top = _binding_cap(t, 8, family)
+            counts = _unit_counts(t, range(lo, top + 1), family)
+            assert counts == {k: count(t, k).eval_counts() for k in range(lo, top + 1)}
+            assert _unit_counts(t, [top], family) == {top: count(t, 8).eval_counts()}
 
 
 @st.composite
@@ -61,23 +67,94 @@ def test_closed_forms_at_caps_0_to_2_equal_the_counts(t):
     counts = {("subtree", k): count_all(t, k) for k in (0, 1, 2)}
     counts["bc", 2] = count_bc_all(t, 2)
     for (family, k), count in counts.items():
-        assert _unit_count(t, k, family) == count.eval_counts(), (family, k)
+        assert _unit_counts(t, [k], family) == {k: count.eval_counts()}, (family, k)
         if len(t.vertices) <= 10:
             assert count == oracle_count(t, k, family), (family, k)
 
 
+def _spider(legs, labels):
+    """A hub with one leg (a path) of each length in ``legs``, labelled in
+    the order of ``labels``."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Tree(labels[:n], [(labels[a], labels[b]) for a, b in edges])
+
+
+@st.composite
+def core_trees(draw):
+    """A sweep tree, a spider (its core is its hub) or a caterpillar whose
+    spine vertices carry up to 5 leaves each (its core spreads along the
+    spine), labelled in random order."""
+    shape = draw(st.sampled_from(["sweep", "spider", "caterpillar"]), label="shape")
+    if shape == "sweep":
+        return draw(sweep_trees())
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    labels = [f"v{i}" for i in range(40)]
+    rng.shuffle(labels)
+    if shape == "spider":
+        legs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=9), label="legs")
+        return _spider(legs, labels)
+    hairs = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6), label="hairs")
+    parents = list(range(len(hairs) - 1))  # the spine: vertex i + 1 hangs on i
+    for i, count in enumerate(hairs):
+        parents += [i] * count
+    return Tree(labels[: len(parents) + 1],
+                [(labels[p], labels[i]) for i, p in enumerate(parents, start=1)])
+
+
+@given(core_trees())
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
+def test_shared_counts_equal_the_counts_at_every_cap_from_3(t):
+    # One contraction onto the core, then one of the subtree connecting it
+    # per cap, must give each cap's own count; up to 10 vertices the
+    # generating functions must also equal the oracle's.
+    caps = range(3, t.max_degree() + 1)
+    for family, count in (("subtree", count_all), ("bc", count_bc_all)):
+        if not caps:
+            continue
+        genfuns = [count(t, k) for k in caps]
+        assert _shared_counts(t, caps, family) == [g.eval_counts() for g in genfuns], family
+        if len(t.vertices) <= 10:
+            assert genfuns == [oracle_count(t, k, family) for k in caps], family
+
+
 def test_the_sweep_contracts_no_cap_below_3(monkeypatch):
-    # The sweep reads both counts through their module bindings (_family).
+    # Every fold of a sweep is at a cap from 3; caps 0 to 2 come in closed form.
     caps = []
-    for module, name in ((subtree_enum, "count_all"), (bc_enum, "count_bc_all")):
-        count = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda t, k, name=name, count=count: caps.append((name, k)) or count(t, k)
-        )
+    fold = subtree_enum.leaf_update_subtree
+    monkeypatch.setattr(
+        subtree_enum, "leaf_update_subtree",
+        lambda parent, leaf, weight, k: caps.append(k) or fold(parent, leaf, weight, k),
+    )
     for family in ("subtree", "bc"):
         ratio_sweep(12, 6, 6, seed=4, family=family)
-    assert {name for name, _ in caps} == {"count_all", "count_bc_all"}
-    assert min(k for _, k in caps) == 3
+    assert min(caps) == 3
+    # On a spider, caps 3 to 5 share one contraction onto the hub, which
+    # folds each other vertex once per pass (two for BC), at cap 5.
+    spider = _spider([1, 2, 3, 1, 2], [f"v{i}" for i in range(10)])
+    monkeypatch.setattr(experiments, "random_tree", lambda n, seed: spider)
+    for family, passes in (("subtree", 1), ("bc", 2)):
+        caps.clear()
+        ratio_sweep(10, 1, 9, seed=0, family=family)
+        assert len(caps) == 9 * passes, family
+
+
+def test_sweeps_past_the_vertex_bound_are_refused_before_any_seed(capsys, monkeypatch, tmp_path):
+    # samples * n above MAX_SWEEP_VERTICES: TooLarge (CLI exit 2), at once.
+    with pytest.raises(TooLarge):
+        ratio_sweep(5, 10**11, 3, 0)
+    out = tmp_path / "r.csv"
+    argv = ["ratio", "--n", "5", "--samples", str(10**11), "--kmax", "3", "--seed", "0",
+            "--out", str(out)]
+    assert main(argv) == 2 and not out.exists()
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setattr(experiments, "MAX_SWEEP_VERTICES", 10)
+    assert len(ratio_sweep(5, 2, 3, 0)) == 2 * 3
+    with pytest.raises(TooLarge):
+        ratio_sweep(5, 3, 3, 0)
 
 
 def test_p3_sweep_example():
