@@ -34,10 +34,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import subtree_enum
-from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
+from .bipoly import BiPoly, Y, _POLYS, _Ring, _ring_of
 from .errors import InvalidArgument, LengthMismatch
 from .subtree_enum import DegreeVector, _contract, _pair_product, _Product, exact_degree
-from .subtree_enum import range_sum, _entries, _require_polys
+from .subtree_enum import range_sum, _entries, _require_ring
 from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, least_k
 
 
@@ -46,7 +46,8 @@ class ParityDegreeVector:
 
     Both are views of a vertex's rows in the colour passes: ``even`` of
     its row in its own colour's pass (lo = 0), ``odd`` of its row in the
-    other pass (lo = 1).
+    other pass (lo = 1).  Their entries are BiPoly, or plain ints as
+    ``DegreeVector`` says.
     """
 
     __slots__ = ("_own", "_other")
@@ -59,8 +60,15 @@ class ParityDegreeVector:
                 f"odd/even vectors must have equal positive length, "
                 f"got {len(odd)} and {len(even)}"
             )
-        _require_polys(odd + even)
+        _require_ring(odd + even, _POLYS)
         self._own, self._other = DegreeVector._row(even, 0), DegreeVector._row(odd, 1)
+
+    @classmethod
+    def _pair(cls, own: DegreeVector, other: DegreeVector) -> "ParityDegreeVector":
+        """Trusted constructor: the rows of the own pass (lo = 0) and the other (lo = 1)."""
+        out = object.__new__(cls)
+        out._own, out._other = own, other
+        return out
 
     @property
     def odd(self) -> tuple[BiPoly, ...]:
@@ -71,23 +79,27 @@ class ParityDegreeVector:
         return self._own.entries
 
     @classmethod
-    def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "ParityDegreeVector":
+    def initial(cls, k: int, vertex_weight: BiPoly | int = Y) -> "ParityDegreeVector":
         """Starting vectors: odd = (1, 0, ..., 0), even = (w, 0, ..., 0).
 
         The odd vector starts at the constant 1: in the other colour's pass
-        y does not mark the vertex, and on its own it counts nothing.  k is
-        checked as ``DegreeVector.initial`` checks it.
+        y does not mark the vertex, and on its own it counts nothing.  k and
+        the ring are those of ``DegreeVector.initial``.
         """
-        _require_row_cap(k)
-        return cls((ONE,) + (ZERO,) * k, (vertex_weight,) + (ZERO,) * k)
+        own = DegreeVector.initial(k, vertex_weight)
+        one, zeros = _ring_of(vertex_weight).one, own.entries[1:]
+        return cls._pair(own, DegreeVector._row((one,) + zeros, 1))
 
     @classmethod
-    def _product(cls, vertex_weight: BiPoly) -> "ParityDegreeVector":
+    def _product(cls, vertex_weight: BiPoly | int) -> "ParityDegreeVector":
         """The starting vectors as product rows, with heads 0..lo: (1, 0), (w)."""
-        out = object.__new__(cls)
-        out._own = DegreeVector._row(_Product((vertex_weight, ZERO)), 0)
-        out._other = DegreeVector._row(_Product((ONE, ZERO, ZERO)), 1)
-        return out
+        ring = _ring_of(vertex_weight)
+        own = DegreeVector._row(_Product((vertex_weight, ring.zero)), 0)
+        return cls._pair(own, DegreeVector._row(_Product((ring.one, ring.zero, ring.zero)), 1))
+
+    @property
+    def _ring(self) -> _Ring:
+        return _ring_of(self._own.entries[0])
 
     def _fits(self, k: int) -> bool:
         """Whether cap k can count these vectors (see ``DegreeVector._fits``)."""
@@ -95,7 +107,9 @@ class ParityDegreeVector:
 
     def truncated(self) -> "ParityDegreeVector":
         """Both vectors without their top entry: the cap k-1 view."""
-        return ParityDegreeVector(self.odd[:-1], self.even[:-1])
+        own, other = self._own.truncated(), self._other.truncated()
+        other._lo = 1
+        return self._pair(own, other)
 
     def __len__(self) -> int:
         return len(self.odd)
@@ -133,7 +147,8 @@ def _tops(vec: ParityDegreeVector, k: int) -> BiPoly:
 
 def _bare(wt: WeightedTree, k: int, vertices) -> BiPoly:
     """What the input vectors of ``vertices`` count on their own."""
-    return ZERO if wt._starting else BiPoly.sum(_tops(wt.vector(v), k) for v in vertices)
+    ring = wt._ring
+    return ring.zero if wt._starting else ring.sum(_tops(wt.vector(v), k) for v in vertices)
 
 
 def rooted_parity_vectors(
@@ -166,7 +181,10 @@ def rooted_parity_vectors(
         wt = wt._reweighted({**wt._vertex_weights, root: ParityDegreeVector.initial(cap)})
     keep = frozenset([root])
     own, other = (_contract(p, cap, keep, finished)[root].entries for p in _colour_passes(wt, root))
-    return ParityDegreeVector(*(row + (ZERO,) * (k + 1 - len(row)) for row in (other, own)))
+    pad = (wt._ring.zero,)
+    own, other = (DegreeVector._row(row + pad * (k + 1 - len(row)), lo)
+                  for row, lo in ((own, 0), (other, 1)))
+    return ParityDegreeVector._pair(own, other)
 
 
 def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
@@ -180,7 +198,7 @@ def count_bc_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     the results do not depend on the root or the elimination order.
     """
     wt, k, _ = _as_weighted(t, k, ParityDegreeVector)
-    total = _RunningSum()
+    total = wt._ring.running_sum()
     root = rooted_parity_vectors(
         wt, k, wt.tree.centroid(), finished=lambda row, lo: total.add(range_sum(row, lo + 1, k))
     )

@@ -80,7 +80,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidArgument, NegativeCoefficient, ParseError
 
@@ -678,3 +678,45 @@ ZERO = BiPoly.zero()
 ONE = BiPoly.one()
 Y = BiPoly._raw({(1, 0): 1})
 Z = BiPoly._raw({(0, 1): 1})
+
+
+class _Ring:
+    """A coefficient ring the counts run on: its zero and one, the sum of an
+    iterable, a running sum (``add`` parts as they arrive, then ``total()``)
+    and whether a value belongs to it."""
+
+    __slots__ = ("zero", "one", "sum", "running_sum", "has")
+
+    def __init__(self, zero, one, sum: Callable, running_sum: Callable, has: Callable):
+        self.zero, self.one, self.sum, self.running_sum, self.has = zero, one, sum, running_sum, has
+
+
+class _IntSum:
+    """The running sum of plain ints."""
+
+    __slots__ = ("_total",)
+
+    def __init__(self):
+        self._total = 0
+
+    def add(self, part: int) -> None:
+        self._total += part
+
+    def total(self) -> int:
+        return self._total
+
+
+#: The generating functions' ring, and the plain ints a count needs when no
+#: generating function is asked for: the same dynamic program started from
+#: the unit weights 1 in place of y and z, so it computes ``eval_counts()``
+#: of the BiPoly result (evaluation at y = z = 1 is a ring homomorphism).
+#: ``BiPoly.sum`` is looked up on each call, so one re-bound on the class
+#: (by a tracer) is the one called.
+_POLYS = _Ring(ZERO, ONE, lambda items: BiPoly.sum(items), _RunningSum,
+               lambda x: isinstance(x, BiPoly))
+_INTS = _Ring(0, 1, sum, _IntSum, lambda x: type(x) is int)
+
+
+def _ring_of(value: object) -> _Ring:
+    """The ring ``value`` is taken from: plain ints for an int (no bool), else BiPoly."""
+    return _INTS if type(value) is int else _POLYS

@@ -10,10 +10,12 @@ Subcommands:
 
 Trees are read from a trailing file path, or from standard input when no
 path is given, as bytes decoded as strict UTF-8, up to ``MAX_INPUT_CHARS``
-characters.  Counting commands print a plain decimal count; with
-``--genfun`` they print the generating function instead (canonical text,
-or the JSON term list with ``--json``).  Weights are fixed to the standard
-initialization here; callers needing custom weights use the library API.
+characters.  Counting commands print a plain decimal count, counted in
+plain ints from unit weights (``tree._as_weighted``) with no generating
+function built; with ``--genfun`` they print the generating function
+instead (canonical text, or the JSON term list with ``--json``).  Weights
+are fixed to the standard initialization here; callers needing custom
+weights use the library API.
 
 Exit codes: 0 success, 1 usage error (including flag values the library
 rejects as an InvalidArgument), 2 data error (unreadable or bad tree,
@@ -38,8 +40,10 @@ from .bc_enum import _family
 from .bipoly import BiPoly
 from .errors import InvalidArgument, ParseError, SubtreeCountError, TooLarge
 from .experiments import emit_csv, ratio_sweep
+from .subtree_enum import exact_degree
 from .tree import (
-    LEAST_K, Tree, least_k, parse_edge_list, random_tree, render_edge_list, require_int
+    LEAST_K, Tree, _as_weighted, least_k, parse_edge_list, random_tree, render_edge_list,
+    require_int,
 )
 
 
@@ -161,7 +165,9 @@ def _anchors(args) -> tuple[str, ...]:
     return labels
 
 
-def _count_poly(args, t: Tree) -> BiPoly:
+def _count_poly(args, t: Tree) -> BiPoly | int:
+    """The generating function with ``--genfun``, else the count: an int
+    from the family's counts on the door's int rows, no BiPoly built."""
     anchors = _anchors(args)
     k = args.k
     if args.command == "oracle":
@@ -170,10 +176,13 @@ def _count_poly(args, t: Tree) -> BiPoly:
         require_int(k, least_k(args.family) + 1)
         high = oracle.oracle_count(t, k, args.family, anchors)
         return high - oracle.oracle_count(t, k - 1, args.family, anchors)
-    _, modes, exact = _family(args.family)
+    vector_type, modes, exact = _family(args.family)
+    if args.genfun:
+        return exact(t, k, anchors) if args.exact_degree else modes[len(anchors)](t, k, *anchors)
     if args.exact_degree:
-        return exact(t, k, anchors)
-    return modes[len(anchors)](t, k, *anchors)
+        return exact_degree(modes, t, k, anchors, vector_type, (1, 1))
+    wt, cap, anchors = _as_weighted(t, k, vector_type, anchors, 1, 1)
+    return modes[len(anchors)](wt, cap, *anchors)
 
 
 def _run(args) -> str | int | BiPoly | None:
@@ -189,8 +198,8 @@ def _run(args) -> str | int | BiPoly | None:
         return None
     if args.json and not args.genfun:
         raise InvalidArgument("--json only applies to --genfun output")
-    poly = _count_poly(args, _load_tree(args))
-    return poly if args.genfun else poly.eval_counts()
+    result = _count_poly(args, _load_tree(args))
+    return result.eval_counts() if isinstance(result, BiPoly) and not args.genfun else result
 
 
 def main(argv: Sequence[str] | None = None) -> int:

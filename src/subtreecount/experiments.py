@@ -9,9 +9,12 @@ into the CSV.
 
 Counts here do not need the full generating functions, so the sweep runs
 the counting algorithms with unit weights (vertex vectors starting at 1,
-edge weight 1); the result polynomial then is a single constant equal to
-the count.  That is the same evaluation-at-one homomorphism the library
-tests assert, just applied before the arithmetic instead of after.
+edge weight 1): the result is the count, the generating function's value
+at y = z = 1.  That is the same evaluation-at-one homomorphism the
+library tests assert, just applied before the arithmetic instead of
+after.  The shared contraction below runs in plain ints (the door's int
+ring, see ``tree._as_weighted``); a lone cap runs the family's own count
+on BiPoly constants, one-term polynomials (``_unit_counts`` says why).
 
 At caps 0 to 2 every counted subtree is a path, so those counts need no
 contraction and come in closed form (``_unit_counts``).  On n vertices
@@ -68,9 +71,12 @@ def _unit_counts(t: Tree, caps: Sequence[int], family: str) -> dict[int, int]:
     """``family``'s counts on ``t`` at each of ``caps`` (ascending, none above
     the cap that binds, ``_binding_cap``): in closed form at caps 0 to 2,
     else by one contraction, shared when more than one cap needs it.  A
-    lone cap takes the family's own count (``_family``), as fast, and the
-    one path by which the sweep reaches ``count_all`` and ``count_bc_all``,
-    which perfbench's traced pass expects it to."""
+    lone cap takes the family's own count (``_family``) on BiPoly constants
+    (unit weights ONE), not on ints: it is the one path by which the sweep
+    reaches ``count_all``, ``count_bc_all``, ``rooted_parity_vectors`` and
+    ``BiPoly.__mul__``, which perfbench's traced pass expects the
+    density-sweep workload to call.  Most small samples take it, so the
+    shared contraction's int ring gains little there."""
     n = len(t.vertices)
     counts, contracted = {}, []
     for k in caps:
@@ -97,17 +103,17 @@ def _shared_counts(t: Tree, caps: Sequence[int], family: str) -> list[int]:
     of the subtree connecting it per cap (see the module docstring).  Each
     contraction sums its eliminated rows as ``count_all`` (from lo) and
     ``count_bc_all`` (from lo + 1) do; these starting rows count no bare
-    vertex, so nothing is taken off."""
+    vertex, so nothing is taken off.  All of it runs on plain ints."""
     vector_type, skip = (ParityDegreeVector, 1) if family == "bc" else (DegreeVector, 0)
-    wt, top, _ = _as_weighted(t, caps[-1], vector_type, vertex_weight=ONE, edge_weight=ONE)
+    wt, top, _ = _as_weighted(t, caps[-1], vector_type, vertex_weight=1, edge_weight=1)
     core = frozenset(v for v, ns in t._adj.items() if len(ns) > caps[0])
-    full = vector_type.initial(top, ONE)
+    full = vector_type.initial(top, 1)
     wt = wt._reweighted({**wt._vertex_weights, **dict.fromkeys(core, full)})
 
     def contract(pass_: WeightedTree, k: int, keep: frozenset) -> tuple[int, dict]:
-        sums = []
-        rows = _contract(pass_, k, keep, lambda row, lo: sums.append(range_sum(row, lo + skip, k)))
-        return sum(s.eval_counts() for s in sums), rows
+        total = pass_._ring.running_sum()
+        rows = _contract(pass_, k, keep, lambda row, lo: total.add(range_sum(row, lo + skip, k)))
+        return total.total(), rows
 
     shared, survivors = 0, []
     for p in _colour_passes(wt, t.vertices[0]) if skip else [wt]:
@@ -115,7 +121,7 @@ def _shared_counts(t: Tree, caps: Sequence[int], family: str) -> list[int]:
         shared += eliminated
         survivors.append(rows)
     span = t.induced(survivors[0].keys())  # the subtree connecting the core
-    small = WeightedTree(span, survivors[0], dict.fromkeys(span.edges, ONE))
+    small = WeightedTree(span, survivors[0])  # the int ring's edges default to 1
     counts = []
     for k in caps:
         count = shared
@@ -124,7 +130,7 @@ def _shared_counts(t: Tree, caps: Sequence[int], family: str) -> list[int]:
                    for v, vec in rows.items()}
             eliminated, last = contract(small._reweighted(cut), k, frozenset())
             (root,) = last.values()
-            count += eliminated + range_sum(root.entries, root._lo + skip, k).eval_counts()
+            count += eliminated + range_sum(root.entries, root._lo + skip, k)
         counts.append(count)
     return counts
 

@@ -34,14 +34,25 @@ The elimination loop of both families is ``_contract``: it walks the
 tree's elimination order (``Tree._elimination``) and folds each vertex
 with ``leaf_update_subtree``.  The counting modes differ only in which
 vertices survive and how their vectors are combined.
+
+The fold needs only ``+``, ``*``, a zero and a one, so it runs in the ring
+of the rows it is given (``bipoly._Ring``): BiPoly for a generating
+function, or plain ints for a count alone, the door's rows started from
+the unit weight 1 in place of y and z (``tree._as_weighted``), whose
+results are ``eval_counts()`` of the BiPoly ones.  ``range_sum`` sums a
+row in its ring, and the counts take their zero, their sums and their
+running sums from the WeightedTree's.  The identity tests against ZERO
+and ONE only skip work: an int row has no such entry and takes every
+step, but for an empty branch, which leaves the parent as it is in
+either ring.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bipoly import BiPoly, ONE, Y, ZERO, _RunningSum
-from .errors import InvalidArgument, LengthMismatch
+from .bipoly import BiPoly, ONE, Y, ZERO, _POLYS, _Ring, _ring_of
+from .errors import InvalidArgument, LengthMismatch, NegativeCoefficient
 from .tree import Tree, WeightedTree, _as_weighted, _require_row_cap, least_k, require_int
 
 
@@ -52,14 +63,19 @@ class _Product(tuple):
 
 
 def range_sum(entries: Sequence[BiPoly], lo: int, hi: int) -> BiPoly:
-    """Sum of entries lo..hi inclusive; empty or negative ranges are zero.
+    """Sum of entries lo..hi inclusive, in the row's ring (BiPoly, or plain
+    ints by the builtin ``sum``); empty or negative ranges are its zero.
     A product row holds nothing past hi: its head entries from lo plus rest."""
     if hi < lo:
-        return ZERO
+        return 0 if type(entries[0]) is int else ZERO
     if type(entries) is _Product:
         last = len(entries) - 1
-        return entries[last] if lo >= last else BiPoly.sum(entries[lo:])
-    return BiPoly.sum(entries[max(lo, 0) : hi + 1])
+        if lo >= last:
+            return entries[last]
+        part = entries[lo:]
+    else:
+        part = entries[max(lo, 0) : hi + 1]
+    return sum(part) if type(entries[0]) is int else BiPoly.sum(part)
 
 
 def exact_degree(
@@ -68,21 +84,33 @@ def exact_degree(
     k: int,
     anchors: Sequence[str],
     vector_type,
-) -> BiPoly:
+    unit: tuple | None = None,
+) -> BiPoly | int:
     """Maximum degree exactly k: the cap-k count minus the cap-(k-1) count.
 
     ``modes`` are the family's counts with zero, one and two anchors; the
-    cap k-1 must be one they support.  The difference is never negative:
-    whatever cap k-1 counts, cap k counts too.  Above the cap that can
-    bind on a plain Tree it is zero: no subtree has that maximum degree.
+    cap k-1 must be one they support.  On a plain Tree both counts start
+    from the door's unit weights: Y and Z for the generating function, or
+    ``unit``, (1, 1) for the count in plain ints.  The difference is never
+    negative: whatever cap k-1 counts, cap k counts too; if it were, either
+    ring raises NegativeCoefficient.  Above the cap that can bind on a
+    plain Tree it is zero: no subtree has that maximum degree.
     """
     require_int(k, least_k(vector_type.family) + 1)
-    wt, cap, anchors = _as_weighted(t, k, vector_type, anchors)
+    wt, cap, anchors = _as_weighted(t, k, vector_type, anchors, *(unit or ()))
     if cap < k:
-        return ZERO
+        return wt._ring.zero
     count = modes[len(anchors)]
-    lower = t if isinstance(t, Tree) else wt.truncated()
-    return count(wt, k, *anchors) - count(lower, k - 1, *anchors)
+    if not isinstance(t, Tree):
+        lower = wt.truncated()
+    elif unit is None:  # the count's own door builds the same rows
+        lower = t
+    else:
+        lower = _as_weighted(t, k - 1, vector_type, anchors, *unit)[0]
+    high, low = count(wt, k, *anchors), count(lower, k - 1, *anchors)
+    if type(high) is int and low > high:  # BiPoly.__sub__ checks each coefficient
+        raise NegativeCoefficient(f"the cap-{k - 1} count {low} exceeds the cap-{k} count {high}")
+    return high - low
 
 
 def _entries(entries: Sequence[BiPoly]) -> tuple:
@@ -92,15 +120,20 @@ def _entries(entries: Sequence[BiPoly]) -> tuple:
     return tuple(entries)
 
 
-def _require_polys(entries: Sequence[object]) -> None:
-    """Check that every vector entry is a BiPoly; raise InvalidArgument if not."""
+def _require_ring(entries: Sequence[object], ring: _Ring) -> None:
+    """Check that every vector entry belongs to ``ring``; raise InvalidArgument if not."""
     for entry in entries:
-        if not isinstance(entry, BiPoly):
-            raise InvalidArgument(f"vector entries must be BiPoly, got {entry!r}")
+        if not ring.has(entry):
+            kind = "BiPoly" if ring is _POLYS else "ints"
+            raise InvalidArgument(f"vector entries must be {kind}, got {entry!r}")
 
 
 class DegreeVector:
-    """Per-vertex weight vector, index i = rooted subtrees with root degree i."""
+    """Per-vertex weight vector, index i = rooted subtrees with root degree i.
+
+    Its entries are BiPoly.  ``initial`` and ``_product`` with an int weight
+    build rows of plain ints, which the counts' door uses when no generating
+    function is asked for (``tree._as_weighted``)."""
 
     __slots__ = ("entries", "_lo")
     family = "subtree"
@@ -109,7 +142,7 @@ class DegreeVector:
         self.entries = _entries(entries)
         if not self.entries:
             raise LengthMismatch("a degree vector needs at least one entry")
-        _require_polys(self.entries)
+        _require_ring(self.entries, _POLYS)
         self._lo = 0
 
     @classmethod
@@ -120,11 +153,14 @@ class DegreeVector:
         return out
 
     @classmethod
-    def initial(cls, k: int, vertex_weight: BiPoly = Y) -> "DegreeVector":
+    def initial(cls, k: int, vertex_weight: BiPoly | int = Y) -> "DegreeVector":
         """The starting vector (w, 0, ..., 0) of length k+1 (k checked by
-        ``tree._require_row_cap``)."""
+        ``tree._require_row_cap``) in w's ring: BiPoly, or plain ints for
+        an int w."""
         _require_row_cap(k)
-        return cls((vertex_weight,) + (ZERO,) * k)
+        ring = _ring_of(vertex_weight)
+        _require_ring((vertex_weight,), ring)
+        return cls._row((vertex_weight,) + (ring.zero,) * k, 0)
 
     @classmethod
     def _product(cls, vertex_weight: BiPoly) -> "DegreeVector":
@@ -136,9 +172,15 @@ class DegreeVector:
         door's (``tree._as_weighted``), passes here at the cap it was built for."""
         return type(self.entries) is _Product or len(self.entries) == k + 1
 
+    @property
+    def _ring(self) -> _Ring:
+        return _ring_of(self.entries[0])
+
     def truncated(self) -> "DegreeVector":
-        """This vector without its top entry: the cap k-1 view."""
-        return DegreeVector(self.entries[:-1])
+        """This vector without its top entry, read from 0: the cap k-1 view."""
+        if len(self.entries) < 2:
+            raise LengthMismatch("a degree vector needs at least one entry")
+        return DegreeVector._row(self.entries[:-1], 0)
 
     def sum_range(self, lo: int, hi: int) -> BiPoly:
         """Sum of entries lo..hi inclusive; empty or negative ranges are zero."""
@@ -180,7 +222,8 @@ def leaf_update_subtree(
     if not ((product or top == k) and (type(hung) is _Product or len(hung) == k + 1)):
         raise LengthMismatch(f"vectors must have length {k + 1}, got {top + 1} and {len(hung)}")
     branch = range_sum(hung, leaf._lo, k - 1)
-    if branch is ZERO:
+    ints = type(branch) is int  # the ring: plain ints, else BiPoly
+    if branch is ZERO or ints and not branch:
         return parent
     # Entry i gains f * edge_weight * branch, f the entry below it; a
     # product row's rest gains its base, rest plus its last head, times that.
@@ -189,8 +232,9 @@ def leaf_update_subtree(
         if row[i - 1] is not ZERO:
             live.append((i, row[i - 1]))
     if product:
-        rest, last = row[top], row[top - 1] if top else ZERO
-        base = last if rest is ZERO else rest if last is ZERO else rest + last
+        base = row[top]  # rest, plus the last head if there is one
+        if top and row[top - 1] is not ZERO:
+            base = row[top - 1] if base is ZERO else base + row[top - 1]
         if base is not ZERO:
             live.append((top, base))
     out = list(row)
@@ -198,7 +242,9 @@ def leaf_update_subtree(
         ((i, f),) = live
         if edge_weight is not ONE:  # a list moves its offset; a dict is walked term by term
             if f is ONE or branch is not ONE and (
-                f._line is not None or branch._line is None and len(f._terms) <= len(branch._terms)
+                ints
+                or f._line is not None
+                or branch._line is None and len(f._terms) <= len(branch._terms)
             ):
                 f = edge_weight if f is ONE else f * edge_weight
             else:
@@ -241,7 +287,7 @@ def count_all(t: Tree | WeightedTree, k: int) -> BiPoly:
     (or at the survivor), from that vertex's downward vector.
     """
     wt, k, _ = _as_weighted(t, k, DegreeVector)
-    total = _RunningSum()
+    total = wt._ring.running_sum()
     survivors = _contract(wt, k, frozenset(), lambda row, lo: total.add(range_sum(row, 0, k)))
     (last,) = survivors.values()
     total.add(range_sum(last.entries, 0, k))
@@ -278,7 +324,7 @@ def _pair_product(passes: Sequence[WeightedTree], k: int, path: Sequence[str]) -
         factors += [vectors[u].sum_range(0, k - 2) for u in path[1:-1]]
         products.append(_balanced_product(factors))
     edges = [passes[0].edge_weight(a, b) for a, b in zip(path, path[1:])]
-    return BiPoly.sum(products) * _balanced_product(edges)
+    return passes[0]._ring.sum(products) * _balanced_product(edges)
 
 
 def _balanced_product(factors: list[BiPoly]) -> BiPoly:

@@ -30,7 +30,7 @@ import random
 from itertools import chain
 from collections.abc import Iterable, Mapping, Sequence
 
-from .bipoly import BiPoly, Y, Z
+from .bipoly import BiPoly, Y, Z, _POLYS
 from .errors import (
     InvalidArgument,
     KTooSmall,
@@ -342,9 +342,14 @@ def random_tree(n: int, seed: int) -> Tree:
 
 
 class WeightedTree:
-    """A tree plus one weight vector per vertex and one polynomial per edge."""
+    """A tree plus one weight vector per vertex and one polynomial per edge.
 
-    __slots__ = ("tree", "_vertex_weights", "_edge_weights", "_starting")
+    The vectors' entries and the edge weights belong to one ring (``_ring``,
+    see bipoly.py): BiPoly, or the plain ints of rows started from the
+    weight 1 (``initial``, and the door ``_as_weighted``), whose edges
+    default to 1, the value of z."""
+
+    __slots__ = ("tree", "_vertex_weights", "_edge_weights", "_starting", "_ring")
 
     def __init__(
         self,
@@ -358,8 +363,10 @@ class WeightedTree:
             raise InvalidArgument(f"vertex weights must be a mapping, got {vertex_weights!r}")
         if tree._adj.keys() != vertex_weights.keys():
             raise InvalidArgument("vertex weights must cover every vertex exactly")
+        # The door (``_as_weighted``) checks that every vector has this ring.
+        ring = getattr(next(iter(vertex_weights.values())), "_ring", _POLYS)
         if edge_weights is None:
-            ew = dict.fromkeys(tree._edges, Z)
+            ew = dict.fromkeys(tree._edges, Z if ring is _POLYS else 1)
         elif not isinstance(edge_weights, Mapping):
             raise InvalidArgument(f"edge weights must be a mapping, got {edge_weights!r}")
         else:
@@ -368,8 +375,9 @@ class WeightedTree:
                 key = e[::-1] if isinstance(e, tuple) and e not in edges else e
                 if key not in edges:
                     raise InvalidArgument(f"edge-weight key {e!r} does not name an edge")
-                if not isinstance(w, BiPoly):
-                    raise InvalidArgument(f"edge weight of {e!r} is not a BiPoly: {w!r}")
+                if not ring.has(w):
+                    kind = "a BiPoly" if ring is _POLYS else "an int"
+                    raise InvalidArgument(f"edge weight of {e!r} is not {kind}: {w!r}")
                 ew[key] = w
             if len(ew) != len(edges):
                 raise InvalidArgument("edge weights must cover every edge exactly")
@@ -378,6 +386,7 @@ class WeightedTree:
         self._edge_weights = ew
         # True only for the starting vectors of ``_as_weighted``.
         self._starting = False
+        self._ring = ring
 
     def vector(self, v: str):
         try:
@@ -401,7 +410,7 @@ class WeightedTree:
         """This tree and its edge weights with ``vectors`` (trusted: one per vertex)."""
         out = object.__new__(WeightedTree)
         out.tree, out._vertex_weights, out._edge_weights = self.tree, vectors, self._edge_weights
-        out._starting = False
+        out._starting, out._ring = False, self._ring
         return out
 
     def __repr__(self) -> str:
@@ -487,25 +496,27 @@ def _as_weighted(
     k: int,
     vector_type,
     anchors: Sequence[str] = (),
-    vertex_weight: BiPoly = Y,
-    edge_weight: BiPoly = Z,
+    vertex_weight: BiPoly | int = Y,
+    edge_weight: BiPoly | int = Z,
 ) -> tuple[WeightedTree, int, tuple[str, ...]]:
     """The door of every count: ``(wt, cap, anchors)``, once the input's
     type (``_tree_of``), then the size (at
     most ``MAX_VERTICES`` vertices), then k (against the family's least
     cap), then the anchors (``check_anchors``), then a WeightedTree's
-    vectors (each a ``vector_type`` fitting k) pass.  A WeightedTree comes
-    back as it is, with cap = k.  For a Tree, cap is k clamped by
-    ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge, a product
-    row (subtree_enum: heads, then the sum of the rest, read from lo by
-    range sums) where the cap cannot bind (degree <= cap), else a full row
-    ``initial(cap, vertex_weight)``, built only then; these shared rows
-    count no bare vertex (``_starting``).  A product row is right at any
-    cap of at least its vertex's degree, never below.  The counts pass them
-    on at this cap alone; the density sweep's shared contraction
-    (``experiments._shared_counts``) passes on those of degree at most 3 at
-    every cap from 3.  The door is private, so no other WeightedTree holds
-    one."""
+    vectors (each a ``vector_type`` fitting k, in the tree's ring) pass.  A
+    WeightedTree comes back as it is, with cap = k.  For a Tree, cap is k
+    clamped by ``_binding_cap``; ``wt`` has ``edge_weight`` on every edge, a
+    product row (subtree_enum: heads, then the sum of the rest, read from
+    lo by range sums) where the cap cannot bind (degree <= cap), else a
+    full row ``initial(cap, vertex_weight)``, built only then; these shared
+    rows count no bare vertex (``_starting``).  The unit weights pick the
+    ring: Y and Z give the generating function, 1 and 1 its value at
+    y = z = 1 in plain ints, for a caller that needs only the count.  A
+    product row is right at any cap of at least its vertex's degree, never
+    below.  The counts pass them on at this cap alone; the density sweep's
+    shared contraction (``experiments._shared_counts``) passes on those of
+    degree at most 3 at every cap from 3.  The door is private, so no other
+    WeightedTree holds one."""
     tree = _tree_of(t)
     weighted = tree is not t
     require_size(len(tree.vertices))
@@ -518,6 +529,9 @@ def _as_weighted(
                 raise LengthMismatch(
                     f"vertex {v!r} needs a {vector_type.__name__} of length {k + 1}"
                 )
+        ring = t._ring  # the door's own rows (``_starting``) share one by construction
+        if not t._starting and any(vec._ring is not ring for vec in t._vertex_weights.values()):
+            raise InvalidArgument("the vectors mix int and BiPoly entries")
         return t, k, anchors
     cap = _binding_cap(t, k, vector_type.family)
     product = vector_type._product(vertex_weight)

@@ -1,11 +1,13 @@
 """Shared fixtures: small named trees and the seeded random ensemble."""
 
 import heapq
+import random
 from itertools import chain
 
 import pytest
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from subtreecount import (
     ZERO,
@@ -34,7 +36,8 @@ ENSEMBLE_BASE_SEED = 0xC0FFEE
 # tests/test_subtree_enum.py, the custom-weight colour-pass property and the
 # BC-counts-against-the-oracle property of tests/test_bc_enum.py, the
 # sweep's closed-form and shared-contraction properties of
-# tests/test_experiments.py, the label-check properties of
+# tests/test_experiments.py, the int-count property of
+# tests/test_int_ring.py, the label-check properties of
 # tests/test_tree.py and the adversarial edge-list test of
 # tests/test_cli.py so.
 settings.register_profile("ci", max_examples=500)
@@ -337,6 +340,41 @@ def _capped_subtrees_by_size(t, k):
     return {a: c for a, c in enumerate(totals) if c}
 
 
+def capped_subtrees_at(t, k, y, z):
+    """Independent count: subtrees of ``t`` with maximum degree <= k at the
+    integer point (y, z), y marking vertices and z edges.
+
+    The DP of ``_capped_subtrees_by_size`` with the sizes summed out, so it
+    takes O(n k) big-int steps and keeps one int per open branch, where that
+    one keeps a list of n sizes per vertex.  ``down[v]`` is the weight of
+    the subtrees topped at v that continue to v's parent, which take up to
+    k - 1 of v's children; a subtree topped at v takes up to k.  No
+    ``BiPoly`` and no library counting code.
+    """
+    adj = {v: [] for v in t.vertices}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = t.vertices[0]
+    parent, order = {root: None}, [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    down, total = {}, 0
+    for v in reversed(order):
+        taken = [1] + [0] * k  # taken[j]: weight of j children's branches
+        for child in adj[v]:
+            if child != parent[v]:
+                branch = z * down.pop(child)
+                for j in range(k, 0, -1):
+                    taken[j] += taken[j - 1] * branch
+        down[v] = y * sum(taken[:k])
+        total += y * sum(taken)
+    return total
+
+
 def bc_subtrees_at(t, k, y, z, root=None):
     """Independent count: BC-subtrees of ``t`` with maximum degree <= k, at
     the integer point (y, z); with ``root``, only those containing it.
@@ -384,6 +422,23 @@ def bc_subtrees_at(t, k, y, z, root=None):
 def evaluate(poly, y, z):
     """``poly`` at the integer point (y, z)."""
     return sum(c * y**a * z**b for (a, b), c in poly.terms().items())
+
+
+@st.composite
+def sweep_trees(draw):
+    """A uniform random tree, a path, a star or a caterpillar (a spine of
+    n // 2 vertices, each other vertex on a random spine vertex) of 1 to 40
+    vertices, labelled in random order."""
+    n = draw(st.integers(1, 40), label="n")
+    shape = draw(st.sampled_from(["random", "path", "star", "caterpillar"]), label="shape")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    if shape == "random":
+        return random_tree(n, rng.getrandbits(32))
+    spine = {"path": n, "star": 1, "caterpillar": max(n // 2, 1)}[shape]
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    parents = [i - 1 if i < spine else rng.randrange(spine) for i in range(1, n)]
+    return Tree(labels, [(labels[p], labels[i]) for i, p in enumerate(parents, start=1)])
 
 
 def seeded_ensemble(per_size=25, sizes=range(2, 10)):

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subtreecount as sc
-from subtreecount import BiPoly, bc_enum, cli, parse_edge_list, random_tree, subtree_enum
+from subtreecount import (
+    BiPoly, bc_enum, cli, experiments, parse_edge_list, random_tree, subtree_enum
+)
 from subtreecount.cli import build_parser, main
 from subtreecount.experiments import aggregate_path
 
@@ -424,6 +426,20 @@ def test_every_count_calls_the_folds_through_their_module_bindings(
     fold = {"leaf_update_subtree"}
     bc_fold = fold
     rooted = {"leaf_update_subtree", "rooted_parity_vectors"}
+
+    def sweep_of(sample, k_max, family):
+        # A sweep whose every sample is ``sample``.  To k_max = 2, a star of
+        # maximum degree 4 contracts one cap, 4, alone, through the family's
+        # count; to k_max = 3, a spider of maximum degree 5 contracts caps 3
+        # and 5 in one shared contraction, in plain ints.
+        def run():
+            with monkeypatch.context() as m:
+                m.setattr(experiments, "random_tree", lambda n, seed: sample)
+                sc.ratio_sweep(len(sample.vertices), 2, k_max, 0, family)
+        return run
+
+    star = parse_edge_list("h a\nh b\nh c\nh d\n")
+    spider = parse_edge_list("h a\nh b\nh c\nh d\nh e\na a2\nb b2\nc c2\n")
     for run_case, expected in [
         (lambda: sc.count_all(t, 3), fold),
         (lambda: sc.count_containing(t, 3, a), fold),
@@ -433,10 +449,21 @@ def test_every_count_calls_the_folds_through_their_module_bindings(
         (lambda: sc.count_bc_containing(t, 3, a), rooted),
         (lambda: sc.count_bc_containing_pair(t, 3, a, b), bc_fold),
         (lambda: sc.count_bc_exact_degree(t, 3), rooted),
+        # Whichever path a random sample takes, the sweep folds.
         (lambda: sc.ratio_sweep(6, 2, 3, 0, "subtree"), fold),
-        (lambda: sc.ratio_sweep(6, 2, 3, 0, "bc"), rooted),
+        (lambda: sc.ratio_sweep(6, 2, 3, 0, "bc"), bc_fold),
+        (sweep_of(star, 2, "subtree"), fold),
+        (sweep_of(star, 2, "bc"), rooted),
+        (sweep_of(spider, 3, "subtree"), fold),
+        (sweep_of(spider, 3, "bc"), bc_fold),
         (lambda: main(["bc", "--k", "3", str(tree_file)]), rooted),
+        (lambda: main(["subtrees", "--k", "3", "--exact-degree", str(tree_file)]), fold),
+        (lambda: main(["bc", "--k", "3", "--contains", a, str(tree_file)]), rooted),
     ]:
         calls.clear()
         run_case()
         assert expected <= calls, expected
+    # The spider's BC sweep took the shared contraction, not the lone cap's count.
+    calls.clear()
+    sweep_of(spider, 3, "bc")()
+    assert calls == bc_fold

@@ -27,6 +27,8 @@ from subtreecount.experiments import (
 )
 from subtreecount.tree import _binding_cap
 
+from conftest import sweep_trees
+
 
 def test_unit_weight_counts_equal_evaluated_genfuns():
     # the sweep counts with unit weights; that must equal evaluating the
@@ -39,23 +41,6 @@ def test_unit_weight_counts_equal_evaluated_genfuns():
             counts = _unit_counts(t, range(lo, top + 1), family)
             assert counts == {k: count(t, k).eval_counts() for k in range(lo, top + 1)}
             assert _unit_counts(t, [top], family) == {top: count(t, 8).eval_counts()}
-
-
-@st.composite
-def sweep_trees(draw):
-    """A uniform random tree, a path, a star or a caterpillar (a spine of
-    n // 2 vertices, each other vertex on a random spine vertex) of 1 to 40
-    vertices, labelled in random order."""
-    n = draw(st.integers(1, 40), label="n")
-    shape = draw(st.sampled_from(["random", "path", "star", "caterpillar"]), label="shape")
-    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
-    if shape == "random":
-        return random_tree(n, rng.getrandbits(32))
-    spine = {"path": n, "star": 1, "caterpillar": max(n // 2, 1)}[shape]
-    labels = [f"v{i}" for i in range(n)]
-    rng.shuffle(labels)
-    parents = [i - 1 if i < spine else rng.randrange(spine) for i in range(1, n)]
-    return Tree(labels, [(labels[p], labels[i]) for i, p in enumerate(parents, start=1)])
 
 
 @given(sweep_trees())
