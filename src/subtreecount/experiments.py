@@ -33,9 +33,19 @@ row and folds the same at every cap.  So each pass contracts once, at the
 top cap, onto the *core*, the vertices of degree above c, which start as
 full rows; the rows it eliminates are summed once for every cap.  Per cap
 k, only the smallest subtree connecting the core (its survivors) is left
-to contract, its core rows cut to their first k + 1 entries: a fold
-writes entry i from entry i - 1 alone, so cutting a row before a fold
-gives what cutting it after would.
+to fold, its core rows cut to their first k + 1 entries: a fold writes
+entry i from entry i - 1 alone, so cutting a row before a fold gives what
+cutting it after would.  The survivors are folded on the sample's own
+tree, each into its parent on the walk the tree made when it was built
+(``Tree._first_walk``), deepest first; no tree is built for them.  They
+form a subtree, so the survivor nearest the walk's root is the only one
+whose parent there is no survivor: it is the one left, whose row is read
+as ``count_all`` reads its survivor's.
+
+The CSV rounds every ratio in one decimal context of its own (60 digits,
+ties to even), made once per ``emit_csv`` call, so the caller's context,
+its rounding or its traps change no byte.  A mean is summed exactly, over
+the lcm of its group's denominators.
 """
 
 from __future__ import annotations
@@ -43,17 +53,18 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import subtree_enum
 from .bipoly import ONE
 from .bc_enum import ParityDegreeVector, _colour_passes, _family
 from .errors import InvalidArgument
 from .subtree_enum import DegreeVector, _contract, range_sum
-from .tree import MAX_SWEEP_VERTICES, Tree, WeightedTree, _as_weighted, _binding_cap
+from .tree import MAX_SWEEP_VERTICES, Tree, _as_weighted, _binding_cap
 from .tree import least_k, random_tree, require_int, require_size
 
 
@@ -99,38 +110,42 @@ def _unit_counts(t: Tree, caps: Sequence[int], family: str) -> dict[int, int]:
 
 def _shared_counts(t: Tree, caps: Sequence[int], family: str) -> list[int]:
     """The counts at ``caps`` (ascending, from 3) from one contraction per
-    pass onto the core, the vertices of degree above ``caps[0]``, and one
-    of the subtree connecting it per cap (see the module docstring).  Each
-    contraction sums its eliminated rows as ``count_all`` (from lo) and
-    ``count_bc_all`` (from lo + 1) do; these starting rows count no bare
-    vertex, so nothing is taken off.  All of it runs on plain ints."""
+    pass onto the core, the vertices of degree above ``caps[0]``, then per
+    cap one fold of each other vertex of the subtree connecting it into its
+    parent on the tree's own walk (see the module docstring), through the
+    module binding ``subtree_enum.leaf_update_subtree``.  Both sum their
+    eliminated rows as ``count_all`` (from lo) and ``count_bc_all`` (from
+    lo + 1) do; these starting rows count no bare vertex, so nothing is
+    taken off.  All of it runs on plain ints."""
     vector_type, skip = (ParityDegreeVector, 1) if family == "bc" else (DegreeVector, 0)
     wt, top, _ = _as_weighted(t, caps[-1], vector_type, vertex_weight=1, edge_weight=1)
     core = frozenset(v for v, ns in t._adj.items() if len(ns) > caps[0])
     full = vector_type.initial(top, 1)
     wt = wt._reweighted({**wt._vertex_weights, **dict.fromkeys(core, full)})
 
-    def contract(pass_: WeightedTree, k: int, keep: frozenset) -> tuple[int, dict]:
-        total = pass_._ring.running_sum()
-        rows = _contract(pass_, k, keep, lambda row, lo: total.add(range_sum(row, lo + skip, k)))
-        return total.total(), rows
-
     shared, survivors = 0, []
     for p in _colour_passes(wt, t.vertices[0]) if skip else [wt]:
-        eliminated, rows = contract(p, top, core)
-        shared += eliminated
-        survivors.append(rows)
-    span = t.induced(survivors[0].keys())  # the subtree connecting the core
-    small = WeightedTree(span, survivors[0])  # the int ring's edges default to 1
+        total = p._ring.running_sum()
+        survivors.append(
+            _contract(p, top, core, lambda row, lo: total.add(range_sum(row, lo + skip, top))))
+        shared += total.total()
+    # Deepest first on the tree's own walk; the survivor nearest its root is left.
+    order, parent = t._first_walk
+    walk = [u for u in reversed(order) if u in survivors[0]]
+    root = walk.pop()
+    fold = subtree_enum.leaf_update_subtree
     counts = []
     for k in caps:
         count = shared
         for rows in survivors:
             cut = {v: DegreeVector._row(vec.entries[: k + 1], vec._lo) if v in core else vec
                    for v, vec in rows.items()}
-            eliminated, last = contract(small._reweighted(cut), k, frozenset())
-            (root,) = last.values()
-            count += eliminated + range_sum(root.entries, root._lo + skip, k)
+            for u in walk:
+                leaf = cut.pop(u)
+                count += range_sum(leaf.entries, leaf._lo + skip, k)
+                cut[parent[u]] = fold(cut[parent[u]], leaf, 1, k)
+            last = cut[root]
+            count += range_sum(last.entries, last._lo + skip, k)
         counts.append(count)
     return counts
 
@@ -173,11 +188,19 @@ def ratio_sweep(
     return records
 
 
-def _format_ratio(ratio: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        value = Decimal(ratio.numerator) / Decimal(ratio.denominator)
-        return str(value.quantize(Decimal("0.000001")))
+def _csv_context() -> Context:
+    """The decimal context of one CSV: 60 digits, ties to even, whatever
+    the caller's own context is."""
+    return Context(prec=60, rounding=ROUND_HALF_EVEN)
+
+
+_MICRO = Decimal("0.000001")
+
+
+def _format_ratio(ratio: Fraction, ctx: Context) -> str:
+    """``ratio`` to six decimals, rounded in ``ctx`` (a ``_csv_context()``)."""
+    value = ctx.divide(Decimal(ratio.numerator), Decimal(ratio.denominator))
+    return str(ctx.quantize(value, _MICRO))
 
 
 def aggregate_path(path: str | Path) -> Path:
@@ -193,16 +216,17 @@ def emit_csv(records: Iterable[RatioRecord], path: str | Path) -> None:
         rows = sorted(records, key=lambda r: (r.n, r.k, r.sample_id))
     except (AttributeError, TypeError):
         raise InvalidArgument("records must be an iterable of RatioRecord") from None
+    ctx = _csv_context()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "k", "sample_id", "ratio"])
         for rec in rows:
-            writer.writerow([rec.n, rec.k, rec.sample_id, _format_ratio(rec.ratio)])
+            writer.writerow([rec.n, rec.k, rec.sample_id, _format_ratio(rec.ratio, ctx)])
     with open(aggregate_path(path), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "k", "mean_ratio"])
         for (n, k), mean in sorted(mean_ratios(rows).items()):
-            writer.writerow([n, k, _format_ratio(mean)])
+            writer.writerow([n, k, _format_ratio(mean, ctx)])
 
 
 def mean_ratios(records: Sequence[RatioRecord]) -> dict[tuple[int, int], Fraction]:
@@ -213,6 +237,12 @@ def mean_ratios(records: Sequence[RatioRecord]) -> dict[tuple[int, int], Fractio
             groups.setdefault((rec.n, rec.k), []).append(rec.ratio)
     except (AttributeError, TypeError):
         raise InvalidArgument("records must be an iterable of RatioRecord") from None
-    return {
-        key: sum(ratios, Fraction(0)) / len(ratios) for key, ratios in groups.items()
-    }
+    means = {}
+    try:
+        for key, ratios in groups.items():  # over the lcm of the group's denominators
+            den = lcm(*(r.denominator for r in ratios))
+            means[key] = Fraction(sum(r.numerator * (den // r.denominator) for r in ratios),
+                                  den * len(ratios))
+    except (AttributeError, TypeError):
+        raise InvalidArgument("a RatioRecord's ratio must be a Fraction") from None
+    return means

@@ -41,10 +41,14 @@ function, or plain ints for a count alone, the door's rows started from
 the unit weight 1 in place of y and z (``tree._as_weighted``), whose
 results are ``eval_counts()`` of the BiPoly ones.  ``range_sum`` sums a
 row in its ring, and the counts take their zero, their sums and their
-running sums from the WeightedTree's.  The identity tests against ZERO
-and ONE only skip work: an int row has no such entry and takes every
-step, but for an empty branch, which leaves the parent as it is in
-either ring.
+running sums from the WeightedTree's.  Both rings share the fold's
+prologue: the length check, the branch, and the parent handed back as it
+is when the branch is empty.  Then the ring picks the tail.  An int row
+takes one pass: it skips an edge weight of 1 and every zero entry, and
+makes one multiply and one add per non-zero entry.  A BiPoly row keeps
+the identity tests, the list of live entries and the side choice above,
+which pay where a product costs by its terms; one tail for both rings
+made subtree-large's generating functions slower.
 """
 
 from __future__ import annotations
@@ -227,36 +231,47 @@ def leaf_update_subtree(
         return parent
     # Entry i gains f * edge_weight * branch, f the entry below it; a
     # product row's rest gains its base, rest plus its last head, times that.
-    live = []
-    for i in range(1, top + 1 - product):
-        if row[i - 1] is not ZERO:
-            live.append((i, row[i - 1]))
-    if product:
-        base = row[top]  # rest, plus the last head if there is one
-        if top and row[top - 1] is not ZERO:
-            base = row[top - 1] if base is ZERO else base + row[top - 1]
-        if base is not ZERO:
-            live.append((top, base))
     out = list(row)
-    if len(live) == 1:  # a lone factor: the edge weight goes to the cheaper side
-        ((i, f),) = live
-        if edge_weight is not ONE:  # a list moves its offset; a dict is walked term by term
-            if f is ONE or branch is not ONE and (
-                ints
-                or f._line is not None
-                or branch._line is None and len(f._terms) <= len(branch._terms)
-            ):
-                f = edge_weight if f is ONE else f * edge_weight
-            else:
-                branch = edge_weight if branch is ONE else edge_weight * branch
-        gain = branch if f is ONE else f if branch is ONE else f * branch
-        out[i] = gain if row[i] is ZERO else row[i] + gain
-    else:  # the factors share one attach
-        if edge_weight is not ONE:
-            branch = edge_weight if branch is ONE else edge_weight * branch
-        for i, f in live:
+    if ints:  # one pass: no identity tests, no side to choose
+        if edge_weight != 1:
+            branch *= edge_weight
+        for i in range(1, top + 1 - product):
+            f = row[i - 1]
+            if f:
+                out[i] += f * branch
+        if product:
+            base = row[top] + row[top - 1] if top else row[top]
+            if base:
+                out[top] += base * branch
+    else:
+        live = []
+        for i in range(1, top + 1 - product):
+            if row[i - 1] is not ZERO:
+                live.append((i, row[i - 1]))
+        if product:
+            base = row[top]  # rest, plus the last head if there is one
+            if top and row[top - 1] is not ZERO:
+                base = row[top - 1] if base is ZERO else base + row[top - 1]
+            if base is not ZERO:
+                live.append((top, base))
+        if len(live) == 1:  # a lone factor: the edge weight goes to the cheaper side
+            ((i, f),) = live
+            if edge_weight is not ONE:  # a list moves its offset; a dict is walked term by term
+                if f is ONE or branch is not ONE and (
+                    f._line is not None
+                    or branch._line is None and len(f._terms) <= len(branch._terms)
+                ):
+                    f = edge_weight if f is ONE else f * edge_weight
+                else:
+                    branch = edge_weight if branch is ONE else edge_weight * branch
             gain = branch if f is ONE else f if branch is ONE else f * branch
             out[i] = gain if row[i] is ZERO else row[i] + gain
+        else:  # the factors share one attach
+            if edge_weight is not ONE:
+                branch = edge_weight if branch is ONE else edge_weight * branch
+            for i, f in live:
+                gain = branch if f is ONE else f if branch is ONE else f * branch
+                out[i] = gain if row[i] is ZERO else row[i] + gain
     vec = object.__new__(DegreeVector)  # DegreeVector._row, inline
     vec.entries, vec._lo = _Product(out) if product else tuple(out), parent._lo
     return vec

@@ -14,8 +14,8 @@ only on the tree and the survivors, so a Tree caches the last one beside
 its centroid, and the two colour passes of a BC count and the cap-(k-1)
 count of an exact-degree count replay it.  A density sweep contracts a
 sample once per pass onto its vertices of degree above 3, then per cap
-only the subtree connecting them, a Tree of its own whose cached order
-every cap replays (``experiments._shared_counts``).  A
+folds only the subtree connecting them, along the sample's own first
+walk (``experiments._shared_counts``).  A
 Tree walks itself once, breadth-first from its first vertex, when it is
 built: that walk checks that it is connected, and it is kept, so its
 centroid and its 2-colouring (by depth parity) are read off it, each

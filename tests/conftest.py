@@ -32,11 +32,11 @@ from subtreecount.tree import _check_label
 ENSEMBLE_BASE_SEED = 0xC0FFEE
 
 # ``pytest --hypothesis-profile=ci`` runs each property test on 500 examples
-# (5 times the default); CI runs tests/test_bipoly.py, the fold property of
-# tests/test_subtree_enum.py, the custom-weight colour-pass property and the
-# BC-counts-against-the-oracle property of tests/test_bc_enum.py, the
-# sweep's closed-form and shared-contraction properties of
-# tests/test_experiments.py, the int-count property of
+# (5 times the default); CI runs tests/test_bipoly.py, the fold properties
+# (BiPoly and int rows) of tests/test_subtree_enum.py, the custom-weight
+# colour-pass property and the BC-counts-against-the-oracle property of
+# tests/test_bc_enum.py, the sweep's closed-form, shared-contraction and
+# CSV-arithmetic properties of tests/test_experiments.py, the int-count property of
 # tests/test_int_ring.py, the label-check properties of
 # tests/test_tree.py and the adversarial edge-list test of
 # tests/test_cli.py so.

@@ -190,6 +190,9 @@ def test_non_int_arguments_raise_invalid_argument(tmp_path):
         lambda: BiPoly.sum(None),
         lambda: experiments.mean_ratios([1]),
         lambda: experiments.emit_csv([1], tmp_path / "ratios.csv"),
+        # A float ratio has no exact mean: the mean is summed over the lcm
+        # of the denominators.
+        lambda: experiments.mean_ratios([experiments.RatioRecord(3, 1, 0, 0.5)]),
         # An unknown family: the family table read it as "subtree".
         lambda: bc_enum._family("xx"),
         lambda: oracle_count(t, 2, "xx"),

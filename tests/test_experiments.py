@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from subtreecount import (
 from subtreecount import experiments, subtree_enum
 from subtreecount.cli import main
 from subtreecount.experiments import (
+    _csv_context,
+    _format_ratio,
     _shared_counts,
     _unit_counts,
     aggregate_path,
@@ -124,6 +127,22 @@ def test_the_sweep_contracts_no_cap_below_3(monkeypatch):
         caps.clear()
         ratio_sweep(10, 1, 9, seed=0, family=family)
         assert len(caps) == 9 * passes, family
+
+
+def test_a_sweep_builds_one_tree_per_sample(monkeypatch):
+    # The per-cap walk runs on the sample's own tree: no Tree is built for
+    # the subtree connecting its core.  At n = 30 every sample of this sweep
+    # has a vertex of degree 4 or more, so it takes the shared contraction.
+    built, shared = [], []
+    init, counts = Tree.__init__, experiments._shared_counts
+    monkeypatch.setattr(Tree, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    monkeypatch.setattr(experiments, "_shared_counts",
+                        lambda *a: shared.append(1) or counts(*a))
+    for family in ("subtree", "bc"):
+        built.clear()
+        shared.clear()
+        ratio_sweep(30, 8, 6, seed=1, family=family)
+        assert len(built) == len(shared) == 8, family
 
 
 def test_sweeps_past_the_vertex_bound_are_refused_before_any_seed(capsys, monkeypatch, tmp_path):
@@ -244,3 +263,67 @@ def test_mean_ratios_matches_aggregate_file(tmp_path):
     for line in lines:
         n, k, mean = line.split(",")
         assert (int(n), int(k)) in means
+
+
+def test_the_csv_ignores_the_callers_decimal_context(tmp_path):
+    # Each CSV rounds in its own context: a caller's rounding mode or traps
+    # change no byte of it, and raise nothing.
+    records = [RatioRecord(3, 1, 0, Fraction(2, 3)), RatioRecord(3, 1, 1, Fraction(1, 3)),
+               RatioRecord(3, 2, 0, Fraction(5, 10**7))]
+    expected = tmp_path / "expected.csv"
+    emit_csv(records, expected)
+    assert expected.read_text().splitlines()[1] == "3,1,0,0.666667"
+    for i, setting in enumerate([("rounding", decimal.ROUND_DOWN), ("trap", decimal.Inexact),
+                                 ("trap", decimal.Rounded)]):
+        out = tmp_path / f"{i}.csv"
+        with decimal.localcontext() as ctx:
+            if setting[0] == "rounding":
+                ctx.rounding = setting[1]
+            else:
+                ctx.traps[setting[1]] = True
+            assert _format_ratio(Fraction(2, 3), _csv_context()) == "0.666667"
+            emit_csv(records, out)
+        assert out.read_bytes() == expected.read_bytes(), setting
+        assert aggregate_path(out).read_bytes() == aggregate_path(expected).read_bytes()
+
+
+def _old_format(ratio):
+    """The CSV's rounding as it was: in a copy of the caller's context."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        value = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
+        return str(value.quantize(decimal.Decimal("0.000001")))
+
+
+@st.composite
+def csv_ratios(draw):
+    """A ratio in [0, 1]: 0, 1, one over a denominator up to 2^400, or an
+    exact tie at the seventh decimal."""
+    kind = draw(st.sampled_from(["zero", "one", "big", "tie"]), label="kind")
+    if kind in ("zero", "one"):
+        return Fraction(kind == "one")
+    if kind == "tie":
+        return Fraction(2 * draw(st.integers(0, 10**6 - 1)) + 1, 2 * 10**6)
+    den = draw(st.integers(1, 2**400), label="denominator")
+    return Fraction(draw(st.integers(0, den), label="numerator"), den)
+
+
+@given(st.lists(st.tuples(st.integers(3, 4), st.integers(1, 2), csv_ratios()), max_size=12))
+@settings(deadline=None)  # max_examples: the profile's (100; 500 with --hypothesis-profile=ci)
+def test_csv_arithmetic_equals_the_old_expressions(drawn):
+    # Rounding in the CSV's own context and means summed over the lcm of
+    # the denominators give what the per-ratio localcontext and the
+    # pairwise Fraction sum gave.
+    records = [RatioRecord(n, k, i, ratio) for i, (n, k, ratio) in enumerate(drawn)]
+    ctx = _csv_context()
+    for rec in records:
+        assert _format_ratio(rec.ratio, ctx) == _old_format(rec.ratio), rec.ratio
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.n, rec.k), []).append(rec.ratio)
+    old = {key: sum(ratios, Fraction(0)) / len(ratios) for key, ratios in groups.items()}
+    means = mean_ratios(records)
+    assert means == old
+    for key, mean in means.items():
+        assert type(mean) is Fraction
+        assert _format_ratio(mean, ctx) == _old_format(old[key]), key

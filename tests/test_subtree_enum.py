@@ -37,7 +37,7 @@ from subtreecount import (
 )
 
 from subtreecount import subtree_enum
-from subtreecount.bipoly import _Line
+from subtreecount.bipoly import _Line, _ring_of
 from subtreecount.subtree_enum import _Product
 
 from conftest import (
@@ -84,10 +84,12 @@ def test_leaf_update_length_mismatch():
 
 
 def _reference_branch(hung, lo, k):
-    """The leaf's entries lo..k-1; a product row's from lo are its heads and rest."""
+    """The leaf's entries lo..k-1, in the row's ring; a product row's from
+    lo are its heads and rest."""
+    ring = _ring_of(hung[0])
     if k - 1 < lo:
-        return ZERO
-    return BiPoly.sum(hung[lo:] if type(hung) is _Product else hung[lo:k])
+        return ring.zero
+    return ring.sum(hung[lo:] if type(hung) is _Product else hung[lo:k])
 
 
 def _reference_fold(row, branch, edge_weight, k):
@@ -101,7 +103,7 @@ def _reference_fold(row, branch, edge_weight, k):
         return (row[0],) + tuple(row[i] + row[i - 1] * attach for i in range(1, k + 1))
     heads, rest = row[:-1], row[-1]
     new_heads = heads[:1] + tuple(heads[i] + heads[i - 1] * attach for i in range(1, len(heads)))
-    below = heads[-1] if heads else ZERO
+    below = heads[-1] if heads else _ring_of(rest).zero
     return new_heads + (rest + (below + rest) * attach,)
 
 
@@ -127,25 +129,43 @@ fold_entries = st.one_of(
 )
 
 
+#: Int entries: zero often, small, and past 64 bits.
+int_fold_entries = st.one_of(st.just(0), st.integers(1, 3), st.integers(2**64, 2**70))
+
+
 @st.composite
-def fold_rows(draw, k, min_heads=0):
+def fold_rows(draw, k, min_heads=0, entries=fold_entries):
     """A full row of length k + 1, or a product row of min_heads..2 heads
     (no more than k: the cap never truncates a product row) and a rest."""
     heads = draw(st.integers(min_heads, 2))
     if heads > k or draw(st.booleans()):
-        return draw(st.lists(fold_entries, min_size=k + 1, max_size=k + 1).map(tuple))
-    return _Product(draw(st.lists(fold_entries, min_size=heads + 1, max_size=heads + 1)))
+        return draw(st.lists(entries, min_size=k + 1, max_size=k + 1).map(tuple))
+    return _Product(draw(st.lists(entries, min_size=heads + 1, max_size=heads + 1)))
 
 
 @st.composite
-def folds(draw):
+def folds(draw, entries=fold_entries, edge_weights=(ONE, Z, P("2*y*z"), P("y + z"))):
     """(k, parent row and lo, leaf row and lo, edge weight) for one fold."""
     k = draw(st.integers(0, 4))
     lo_parent, lo_leaf = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    row = draw(fold_rows(k))
-    hung = draw(fold_rows(k, min_heads=lo_leaf))  # a product row read from lo keeps heads 0..lo-1
-    edge_weight = draw(st.sampled_from([ONE, Z, P("2*y*z"), P("y + z")]))
+    row = draw(fold_rows(k, entries=entries))
+    # a product row read from lo keeps heads 0..lo-1
+    hung = draw(fold_rows(k, min_heads=lo_leaf, entries=entries))
+    edge_weight = draw(st.sampled_from(edge_weights))
     return k, row, lo_parent, hung, lo_leaf, edge_weight
+
+
+def _check_fold(case):
+    """The fold of ``case`` (from ``folds``) against ``_reference_fold``."""
+    k, row, lo_parent, hung, lo_leaf, edge_weight = case
+    parent = DegreeVector._row(row, lo_parent)
+    out = leaf_update_subtree(parent, DegreeVector._row(hung, lo_leaf), edge_weight, k)
+    branch = _reference_branch(hung, lo_leaf, k)
+    assert out.entries == _reference_fold(row, branch, edge_weight, k)
+    assert (type(out.entries), out._lo) == (type(row), lo_parent)
+    assert all(map(_ring_of(row[0]).has, out.entries))
+    if not branch:  # in a BC pass, a leaf outside the colour class
+        assert out is parent
 
 
 @given(folds())
@@ -162,14 +182,21 @@ def folds(draw):
 def test_the_fold_matches_its_entry_by_entry_reference(case):
     # The fold skips ZERO entries and ONE factors and moves the edge weight
     # onto the cheaper side; none of that may change an entry.
-    k, row, lo_parent, hung, lo_leaf, edge_weight = case
-    parent = DegreeVector._row(row, lo_parent)
-    out = leaf_update_subtree(parent, DegreeVector._row(hung, lo_leaf), edge_weight, k)
-    branch = _reference_branch(hung, lo_leaf, k)
-    assert out.entries == _reference_fold(row, branch, edge_weight, k)
-    assert (type(out.entries), out._lo) == (type(row), lo_parent)
-    if not branch:  # in a BC pass, a leaf outside the colour class
-        assert out is parent
+    _check_fold(case)
+
+
+@given(folds(int_fold_entries, (1, 2, 3)))
+# The door's int starting rows: plain, and the BC pass's other and own rows.
+@example((3, _Product((1,)), 0, _Product((1,)), 0, 1))
+@example((2, _Product((1, 0, 0)), 1, _Product((1, 0)), 0, 1))
+@example((2, _Product((1, 0)), 0, _Product((1, 1, 0)), 1, 1))
+@example((3, (1, 0, 0, 0), 0, (1, 0, 0, 0), 0, 1))
+# A product row's last head and its rest both feed the rest.
+@example((3, _Product((0, 2, 3)), 0, _Product((1,)), 0, 2))
+def test_the_int_fold_matches_its_entry_by_entry_reference(case):
+    # An int row takes its own one-pass tail: it skips zero entries and an
+    # edge weight of 1; none of that may change an entry.
+    _check_fold(case)
 
 
 def test_folds_make_no_zero_or_one_ring_calls(monkeypatch):
